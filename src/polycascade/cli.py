@@ -147,23 +147,38 @@ def _load_config_or_exit(args):
         return None
 
 
-def cmd_verify(args) -> int:
-    report = load_report(args.report)
+def _decode_witness_sets(report: dict):
+    """(residual tolerance, [(level, slices, points)]) decoded from a report."""
     tol = float(report["config"]["residual_tol"])
-    own = args.against is None
-    if own:
-        system = parse_system(report["input"]["source"])
-    else:
-        system = parse_system(_read_source(args.against))
-    failures = 0
-    checked = 0
+    sets = []
     for ws in sorted(report.get("witness_sets", []), key=lambda w: -w["level"]):
         slices = [(complex(sl["constant"][0], sl["constant"][1]),
                    j2vec(sl["coefficients"])) for sl in ws["slices"]]
-        for idx, p in enumerate(ws["points"]):
-            w = j2vec(p["coordinates"])
+        points = [j2vec(p["coordinates"]) for p in ws["points"]]
+        if any(a.shape != w.shape for _, a in slices for w in points):
+            raise ValueError(f"dim {ws['level']}: slice and point lengths differ")
+        sets.append((ws["level"], slices, points))
+    return tol, sets
+
+
+def cmd_verify(args) -> int:
+    own = args.against is None
+    try:
+        report = load_report(args.report)
+        tol, witness_sets = _decode_witness_sets(report)
+        if own:
+            system = parse_system(report["input"]["source"])
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        print(f"malformed report: {exc!r}", file=sys.stderr)
+        return EXIT_INPUT
+    if not own:
+        system = parse_system(_read_source(args.against))
+    failures = 0
+    checked = 0
+    for level, slices, points in witness_sets:
+        for idx, w in enumerate(points):
             if w.shape[0] != system.n_vars:
-                print(f"dim {ws['level']} point {idx}: FAIL "
+                print(f"dim {level} point {idx}: FAIL "
                       f"(dimension mismatch with target system)")
                 failures += 1
                 checked += 1
@@ -176,7 +191,7 @@ def cmd_verify(args) -> int:
                 parts.append(f"slice {slice_res:.2e}")
                 ok = ok and slice_res <= tol
             verdict = "PASS" if ok else "FAIL"
-            print(f"dim {ws['level']} point {idx}: {verdict} ({', '.join(parts)})")
+            print(f"dim {level} point {idx}: {verdict} ({', '.join(parts)})")
             checked += 1
             failures += 0 if ok else 1
     if checked == 0:
@@ -204,9 +219,6 @@ def main(argv=None) -> int:
     except NonSquareSystemError as exc:
         print(f"system is not square: {exc}", file=sys.stderr)
         return EXIT_NONSQUARE
-    except (json.JSONDecodeError, KeyError) as exc:
-        print(f"malformed report: {exc!r}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -114,6 +114,13 @@ class EmbeddedSystem:
         self.base = base
         self.params = params
         self.level = level
+        if level > 0:
+            # the Jacobian's constant blocks: multipliers, slices, identity
+            n = base.n_vars
+            self._jac = np.zeros((n + level, n + level), dtype=np.complex128)
+            self._jac[:n, n:] = params.eff_lambda[:, :level]
+            self._jac[n:, :n] = params.eff_coefficients[:level]
+            self._jac[n:, n:] = np.eye(level)
 
     @property
     def n(self) -> int:
@@ -156,12 +163,8 @@ class EmbeddedSystem:
         jf = self.base.jacobian(x)
         if self.level == 0:
             return jf
-        p = self.params
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        out = self._jac.copy()
         out[:self.n, :self.n] = jf
-        out[:self.n, self.n:] = p.eff_lambda[:, :self.level]
-        out[self.n:, :self.n] = p.eff_coefficients[:self.level]
-        out[self.n:, self.n:] = np.eye(self.level)
         return out
 
 
@@ -222,15 +225,10 @@ class CascadeHomotopy:
 
     def jacobian(self, point: np.ndarray, s: float) -> np.ndarray:
         x, _ = self._split(point)
-        i = self.level
-        p = self.params
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        out = self._upper._jac.copy()
         out[:self.n, :self.n] = self.base.jacobian(x)
-        out[:self.n, self.n:] = p.eff_lambda[:, :i]
-        out[:self.n, self.dim - 1] *= s
-        out[self.n:, :self.n] = p.eff_coefficients[:i]
-        out[self.dim - 1, :self.n] *= s
-        out[self.n:, self.n:] = np.eye(i)
+        out[:self.n, -1] *= s
+        out[-1, :self.n] *= s
         return out
 
     def s_derivative(self, point: np.ndarray, s: float) -> np.ndarray:
@@ -278,8 +276,10 @@ class StartHomotopy:
         point = np.asarray(point, dtype=np.complex128)
         if s == 0.0:
             return self.target.jacobian(point)
-        return self.gamma * s * self.start.jacobian(point) \
-            + (1.0 - s) * self.target.jacobian(point)
+        out = (1.0 - s) * self.target.jacobian(point)
+        # the start Jacobian is diagonal: add it there, in place
+        out.flat[::self.dim + 1] += self.gamma * s * self.start.diagonal_jacobian(point)
+        return out
 
     def s_derivative(self, point: np.ndarray, s: float) -> np.ndarray:
         point = np.asarray(point, dtype=np.complex128)

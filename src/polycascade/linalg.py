@@ -1,11 +1,26 @@
 """Dense complex linear algebra for path tracking.
 
-LU factorization with partial pivoting, triangular solves, a Hager-style
-infinity-norm condition estimator, and the deterministic random stream used
-to draw homotopy parameters.  Everything works on numpy complex128 arrays.
-The factorization is written out by hand because the tracker needs a hard
-singularity signal at a fixed relative pivot tolerance rather than whatever
-a LAPACK driver happens to do with an exactly singular matrix.
+lu_factor hands the matrix to LAPACK (np.linalg.inv, an LU with partial
+pivoting) and keeps the inverse together with the exact infinity-norm
+condition number kappa = ||A|| * ||A^-1||.  Solves are then one
+matrix-vector product, and condition_estimate costs nothing.
+
+The tracker needs a hard singularity signal at a fixed relative pivot
+tolerance, not whatever LAPACK happens to do with a nearly singular
+matrix.  That signal is defined by partial-pivot elimination: column k is
+singular when its best remaining pivot is at most PIVOT_RTOL times the
+column's original magnitude c_k.  The test can only fire on an
+ill-conditioned matrix.  Suppose it fires at column k with remaining column
+s, |s| <= PIVOT_RTOL * c_k.  Take v with v_k = 1, zeros below k, and the
+entries above k that cancel the eliminated part of column k; then
+||A v|| = ||s||, ||v|| >= 1 and ||A|| >= c_k, so kappa >= 1 / PIVOT_RTOL.
+The elimination therefore runs only behind a screen: when kappa is at least
+_SCREEN_KAPPA (a factor 100 below the bound, for rounding), when kappa is
+not finite, or when LAPACK rejects the matrix.  Every other matrix passes
+the pivot test, so the screen changes no verdict.
+
+The module also holds the deterministic random stream used to draw
+homotopy parameters.  Everything works on numpy complex128 arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +33,8 @@ import numpy as np
 # A pivot below this fraction of its column's original magnitude is treated
 # as structurally zero.
 PIVOT_RTOL = 1e-14
+# Condition numbers from here up get the pivot test; below it cannot fire.
+_SCREEN_KAPPA = 1e-2 / PIVOT_RTOL
 
 
 class SingularMatrixError(ArithmeticError):
@@ -30,45 +47,23 @@ class SingularMatrixError(ArithmeticError):
 
 @dataclass(frozen=True)
 class LUFactors:
-    """Packed LU factorization of a square complex matrix.
+    """A square complex matrix factored for repeated solves.
 
     Attributes:
-        lu: Combined factors; strictly lower part holds the multipliers of L
-            (unit diagonal implied), upper triangle holds U.
-        perm: Row permutation applied to the input, as an index array.
-        inf_norm: Infinity norm of the original matrix, kept for conditioning.
+        inverse: A^-1 from LAPACK's LU factorization.
+        condition: ||A||_inf * ||A^-1||_inf, math.inf if not finite.
     """
 
-    lu: np.ndarray
-    perm: np.ndarray
-    inf_norm: float
-
-    @property
-    def n(self) -> int:
-        return self.lu.shape[0]
+    inverse: np.ndarray
+    condition: float
 
 
-def lu_factor(a: np.ndarray) -> LUFactors:
-    """Factor a square matrix as P A = L U with partial pivoting.
-
-    Args:
-        a: Square array-like with complex entries.
-
-    Returns:
-        LUFactors holding the packed factors.
-
-    Raises:
-        SingularMatrixError: if the best pivot available in some column is
-            smaller than PIVOT_RTOL times that column's original inf-norm.
-    """
-    lu = np.array(a, dtype=np.complex128)
-    if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {lu.shape}")
+def _pivot_scan(a: np.ndarray) -> None:
+    """Partial-pivot elimination of a; raises at the first unusable pivot."""
+    lu = a.copy()
     n = lu.shape[0]
-    inf_norm = float(np.max(np.sum(np.abs(lu), axis=1))) if n else 0.0
     # Column scales from the unfactored matrix define "zero" for pivots.
-    col_scale = np.max(np.abs(lu), axis=0) if n else np.zeros(0)
-    perm = np.arange(n)
+    col_scale = np.max(np.abs(lu), axis=0)
     for k in range(n):
         pivot_row = k + int(np.argmax(np.abs(lu[k:, k])))
         pivot_mag = abs(lu[pivot_row, k])
@@ -76,70 +71,53 @@ def lu_factor(a: np.ndarray) -> LUFactors:
             raise SingularMatrixError(k)
         if pivot_row != k:
             lu[[k, pivot_row]] = lu[[pivot_row, k]]
-            perm[[k, pivot_row]] = perm[[pivot_row, k]]
         lu[k + 1:, k] /= lu[k, k]
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return LUFactors(lu=lu, perm=perm, inf_norm=inf_norm)
+
+
+def _inf_norm(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=1).max(initial=0.0))
+
+
+def lu_factor(a: np.ndarray) -> LUFactors:
+    """Factor a square matrix for solves and conditioning.
+
+    Args:
+        a: Square array-like with complex entries.
+
+    Returns:
+        LUFactors holding the inverse and the condition number.
+
+    Raises:
+        SingularMatrixError: if partial-pivot elimination finds, in some
+            column, a best pivot no larger than PIVOT_RTOL times that
+            column's original inf-norm.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        inverse = np.full_like(a, np.nan)
+    kappa = _inf_norm(a) * _inf_norm(inverse)
+    if not kappa < _SCREEN_KAPPA:  # also when kappa is nan
+        _pivot_scan(a)
+    return LUFactors(inverse=inverse, condition=kappa if math.isfinite(kappa) else math.inf)
 
 
 def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the LU factorization of A."""
-    lu = factors.lu
-    n = factors.n
-    x = np.asarray(b, dtype=np.complex128)[factors.perm].copy()
-    for k in range(n):  # forward: L y = P b
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):  # backward: U x = y
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
-
-
-def _solve_transpose(factors: LUFactors, b: np.ndarray) -> np.ndarray:
-    """Solve A^T y = b using the factors of A (A^T = U^T L^T P)."""
-    lu = factors.lu
-    n = factors.n
-    w = np.asarray(b, dtype=np.complex128).copy()
-    for k in range(n):  # U^T w = b, forward since U^T is lower
-        w[k] = (w[k] - lu[:k, k] @ w[:k]) / lu[k, k]
-    for k in range(n - 1, -1, -1):  # L^T v = w, unit diagonal
-        w[k] -= lu[k + 1:, k] @ w[k + 1:]
-    y = np.empty_like(w)
-    y[factors.perm] = w
-    return y
+    """Solve A x = b given the factorization of A."""
+    return factors.inverse @ b
 
 
 def condition_estimate(factors: LUFactors) -> float:
-    """Estimate the infinity-norm condition number from an LU factorization.
+    """Infinity-norm condition number of the factored matrix.
 
-    Uses Hager's one-norm power iteration on (A^T)^-1, whose one-norm equals
-    the infinity-norm of A^-1.  Costs a handful of triangular solves.  Returns
-    math.inf if the estimate overflows or loses meaning.
+    Exact rather than estimated: the factorization already holds A^-1.
+    Returns math.inf if it overflows or loses meaning.
     """
-    n = factors.n
-    if n == 0:
-        return 1.0
-    x = np.full(n, 1.0 / n, dtype=np.complex128)
-    est = 0.0
-    for _ in range(5):
-        y = _solve_transpose(factors, x)
-        if not np.all(np.isfinite(y)):
-            return math.inf
-        new_est = float(np.sum(np.abs(y)))
-        mags = np.abs(y)
-        xi = np.where(mags > 0, y / np.where(mags > 0, mags, 1.0), 1.0)
-        # (A^T)^-H xi = conj(A^-1 conj(xi))
-        z = np.conj(lu_solve(factors, np.conj(xi)))
-        if not np.all(np.isfinite(z)):
-            return math.inf
-        j = int(np.argmax(np.abs(z)))
-        if new_est <= est or abs(z[j]) <= float(np.real(np.vdot(x, z))) + 1e-16:
-            est = max(est, new_est)
-            break
-        est = new_est
-        x = np.zeros(n, dtype=np.complex128)
-        x[j] = 1.0
-    kappa = factors.inf_norm * est
-    return kappa if math.isfinite(kappa) else math.inf
+    return factors.condition
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,7 +152,3 @@ class RandomSource:
     def child(self, key: int) -> "RandomSource":
         """Independent stream for retries; stable under call order."""
         return RandomSource(self.seed, self._spawn_key + (int(key),))
-
-
-def random_unit_complex(source: RandomSource) -> complex:
-    return source.unit_complex()

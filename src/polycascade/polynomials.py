@@ -2,8 +2,17 @@
 
 Polynomials are stored as {exponent tuple: coefficient} maps and all
 arithmetic expands on the spot, so a parsed system is already in monomial
-form.  Evaluation and differentiation are exact in the coefficients; there
-is no symbolic simplification beyond dropping zero terms.
+form.  Differentiation is exact in the coefficients; there is no symbolic
+simplification beyond dropping zero terms.
+
+For evaluation a system compiles itself once, at construction, into two
+monomial tables: one for its values and one for its Jacobian.  A table
+holds the distinct monomials of its rows as an exponent matrix and a dense
+coefficient matrix from monomial values to row values (the n_polys values,
+or the n_polys*n_vars Jacobian entries in row-major order).  Evaluating a
+table takes one power table x[v]**e by cumulative products, one gather and
+product over the exponent matrix, and one matrix-vector product.  Tables
+are immutable after construction, so concurrent evaluation is safe.
 
 The text format read by parse_system:
 
@@ -46,20 +55,33 @@ class DimensionMismatchError(ValueError):
     """Point length does not match the system's variable count."""
 
 
-def _power_table(x: np.ndarray, max_exp: int) -> np.ndarray:
-    """table[v, e] = x[v]**e for e = 0..max_exp, built by cumulative products."""
-    table = np.empty((x.shape[0], max_exp + 1), dtype=np.complex128)
-    table[:, 0] = 1.0
-    for e in range(1, max_exp + 1):
-        table[:, e] = table[:, e - 1] * x
-    return table
+class _MonomialTable:
+    """Rows of polynomials compiled over their shared distinct monomials.
 
+    __call__(x) returns coeffs @ m(x), where m_j(x) is the product over
+    variables v of x[v]**exps[j, v] for the j-th distinct monomial.
+    """
 
-def _eval_terms(exps: np.ndarray, coeffs: np.ndarray, table: np.ndarray) -> complex:
-    if coeffs.shape[0] == 0:
-        return 0j
-    cols = np.arange(exps.shape[1])
-    return complex(np.prod(table[cols[None, :], exps], axis=1) @ coeffs)
+    __slots__ = ("width", "index", "coeffs")
+
+    def __init__(self, rows, n_vars: int):
+        monomials = sorted({e for p in rows for e in p.terms})
+        column = {e: j for j, e in enumerate(monomials)}
+        self.coeffs = np.zeros((len(rows), len(monomials)), dtype=np.complex128)
+        for k, p in enumerate(rows):
+            for e, c in p.terms.items():
+                self.coeffs[k, column[e]] = c
+        exps = np.array(monomials, dtype=np.intp).reshape(len(monomials), n_vars)
+        self.width = (int(exps.max()) if exps.size else 0) + 1
+        # flat positions of x[v]**exps[j, v] in the (n_vars, width) power table
+        self.index = exps + self.width * np.arange(n_vars)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        table = np.empty((x.shape[0], self.width), dtype=np.complex128)
+        table[:, 0] = 1.0
+        table[:, 1:] = x[:, None]
+        table.cumprod(axis=1, out=table)  # column e now holds x**e
+        return self.coeffs.dot(table.take(self.index).prod(axis=1))
 
 
 class Polynomial:
@@ -70,7 +92,7 @@ class Polynomial:
     polynomials and equality is exact term-by-term.
     """
 
-    __slots__ = ("n_vars", "terms", "_exps", "_coeffs")
+    __slots__ = ("n_vars", "terms", "_table")
 
     def __init__(self, n_vars: int, terms: Mapping[tuple, complex] | None = None):
         self.n_vars = int(n_vars)
@@ -87,8 +109,7 @@ class Polynomial:
             else:
                 clean[key] = c
         self.terms = clean
-        self._exps = None
-        self._coeffs = None
+        self._table = None
 
     @classmethod
     def constant(cls, n_vars: int, value: complex) -> "Polynomial":
@@ -122,22 +143,14 @@ class Polynomial:
             out[key] = out.get(key, 0j) + coeff * e
         return Polynomial(self.n_vars, out)
 
-    def term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exponent matrix, coefficient vector) in a fixed sorted order."""
-        if self._exps is None:
-            keys = sorted(self.terms)
-            self._exps = np.array(keys, dtype=np.int64).reshape(len(keys), self.n_vars)
-            self._coeffs = np.array([self.terms[k] for k in keys], dtype=np.complex128)
-        return self._exps, self._coeffs
-
     def evaluate(self, x) -> complex:
         x = np.asarray(x, dtype=np.complex128)
         if x.shape != (self.n_vars,):
             raise DimensionMismatchError(
                 f"expected point of length {self.n_vars}, got shape {x.shape}")
-        exps, coeffs = self.term_arrays()
-        max_exp = int(exps.max()) if exps.size else 0
-        return _eval_terms(exps, coeffs, _power_table(x, max_exp))
+        if self._table is None:
+            self._table = _MonomialTable([self], self.n_vars)
+        return complex(self._table(x)[0])
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -211,8 +224,9 @@ class PolynomialSystem:
         self.var_names = tuple(var_names)
         if len(self.var_names) != self.n_vars:
             raise ValueError("variable name count does not match n_vars")
-        self._jac_polys = None
-        self._max_exp = None
+        self._values = _MonomialTable(self.polys, self.n_vars)
+        self._partials = _MonomialTable(
+            [p.derivative(j) for p in self.polys for j in range(self.n_vars)], self.n_vars)
 
     @property
     def n_polys(self) -> int:
@@ -224,16 +238,6 @@ class PolynomialSystem:
     def degrees(self) -> tuple[int, ...]:
         return tuple(p.degree() for p in self.polys)
 
-    def _table(self, x: np.ndarray) -> np.ndarray:
-        if self._max_exp is None:
-            m = 0
-            for p in self.polys:
-                exps, _ = p.term_arrays()
-                if exps.size:
-                    m = max(m, int(exps.max()))
-            self._max_exp = m
-        return _power_table(x, self._max_exp)
-
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
         if x.shape != (self.n_vars,):
@@ -242,31 +246,11 @@ class PolynomialSystem:
         return x
 
     def evaluate(self, x) -> np.ndarray:
-        x = self._check_point(x)
-        table = self._table(x)
-        out = np.empty(self.n_polys, dtype=np.complex128)
-        for k, p in enumerate(self.polys):
-            exps, coeffs = p.term_arrays()
-            out[k] = _eval_terms(exps, coeffs, table)
-        return out
-
-    def jacobian_polys(self) -> tuple[tuple[Polynomial, ...], ...]:
-        if self._jac_polys is None:
-            self._jac_polys = tuple(
-                tuple(p.derivative(j) for j in range(self.n_vars)) for p in self.polys)
-        return self._jac_polys
+        return self._values(self._check_point(x))
 
     def jacobian(self, x) -> np.ndarray:
         """Matrix of partials, entry (k, j) = d poly_k / d var_j at x."""
-        x = self._check_point(x)
-        table = self._table(x)
-        rows = self.jacobian_polys()
-        out = np.empty((self.n_polys, self.n_vars), dtype=np.complex128)
-        for k, row in enumerate(rows):
-            for j, p in enumerate(row):
-                exps, coeffs = p.term_arrays()
-                out[k, j] = _eval_terms(exps, coeffs, table)
-        return out
+        return self._partials(self._check_point(x)).reshape(self.n_polys, self.n_vars)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolynomialSystem):

@@ -52,10 +52,14 @@ class StartSystem:
         x = np.asarray(x, dtype=np.complex128)
         return x ** np.array(self.degrees) - self.constants
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
+    def diagonal_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """The diagonal d_k * x_k**(d_k - 1); the Jacobian is zero elsewhere."""
         x = np.asarray(x, dtype=np.complex128)
         d = np.array(self.degrees)
-        return np.diag(d * x ** (d - 1))
+        return d * x ** (d - 1)
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return np.diag(self.diagonal_jacobian(x))
 
     def root(self, index: int) -> np.ndarray:
         """Root number index in mixed-radix order over the degrees."""

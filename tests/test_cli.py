@@ -118,6 +118,35 @@ def test_verify_report_without_witnesses(linear_file, tmp_path, capsys):
     assert "0/0" in out or "no witness points" in out
 
 
+def _as_list(report):
+    return [report]
+
+
+def _text_tolerance(report):
+    report["config"]["residual_tol"] = "x"
+    return report
+
+
+def _short_coordinate(report):
+    report["witness_sets"][0]["points"][0]["coordinates"][0] = [1]
+    return report
+
+
+@pytest.mark.parametrize("corrupt", [_as_list, _text_tolerance, _short_coordinate])
+def test_verify_malformed_report_exit_2(worked_file, tmp_path, capsys, corrupt):
+    report_path = tmp_path / "run.json"
+    assert main(["cascade", worked_file, "--seed", "1",
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["witness_sets"][0]["points"]
+    report_path.write_text(json.dumps(corrupt(report)))
+    capsys.readouterr()
+    code = main(["verify", str(report_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "malformed report" in err and "Traceback" not in err
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.sys"
     bad.write_text("2\n*\nx1 + ;\nx2;\n")

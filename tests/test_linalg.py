@@ -75,14 +75,54 @@ def test_lu_solve_round_trip(a, seed):
 
 @settings(max_examples=100)
 @given(well_conditioned_matrices())
-def test_condition_estimate_brackets_truth(a):
-    # Hager's estimator is a lower bound on ||A^-1||_1-based kappa and in
-    # practice lands within a small factor; numpy's exact inverse is the oracle
-    factors = lu_factor(a)
-    est = condition_estimate(factors)
-    true = float(np.linalg.norm(a, np.inf) * np.linalg.norm(np.linalg.inv(a), np.inf))
-    assert est <= true * (1 + 1e-8)
-    assert est >= true / 15.0
+def test_condition_estimate_is_exact(a):
+    # the factorization holds A^-1, so the infinity-norm condition is exact
+    est = condition_estimate(lu_factor(a))
+    assert est == pytest.approx(np.linalg.cond(a, np.inf), rel=1e-8)
+
+
+def _reference_singular_column(a):
+    """Column where partial-pivot elimination at relative tolerance 1e-14 stops.
+
+    An independent copy of the hand-written elimination lu_factor used before
+    it moved to LAPACK; None if every pivot is usable.
+    """
+    lu = np.array(a, dtype=np.complex128)
+    n = lu.shape[0]
+    col_scale = np.max(np.abs(lu), axis=0)
+    for k in range(n):
+        pivot_row = k + int(np.argmax(np.abs(lu[k:, k])))
+        pivot_mag = abs(lu[pivot_row, k])
+        if pivot_mag <= 1e-14 * col_scale[k] or pivot_mag == 0.0:
+            return k
+        lu[[k, pivot_row]] = lu[[pivot_row, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return None
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.data())
+def test_singular_verdict_matches_elimination(seed, n, data):
+    # rank-deficient products, perturbed at 1e-16..1e-8 (or not at all),
+    # with column scales spread over 1e-6..1e6
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(1, n - 1))
+    left = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    right = rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))
+    a = left @ right
+    size = data.draw(st.sampled_from([0.0, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12,
+                                      1e-11, 1e-10, 1e-9, 1e-8]))
+    a += size * np.max(np.abs(a)) * (rng.normal(size=(n, n))
+                                     + 1j * rng.normal(size=(n, n)))
+    a *= 10.0 ** rng.uniform(-6.0, 6.0, size=n)
+    want = _reference_singular_column(a)
+    if want is None:
+        lu_factor(a)
+    else:
+        with pytest.raises(SingularMatrixError) as err:
+            lu_factor(a)
+        assert err.value.column == want
 
 
 @settings(max_examples=100)

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycascade.polynomials import (ParseError, Polynomial, PolynomialSystem,
                                      UnknownVariableError, format_polynomial,
                                      format_system, parse_system)
 
-from helpers import fd_jacobian, naive_poly_eval, points_st, polynomials_st, systems_st
+from helpers import (fd_jacobian, naive_poly_eval, points_st, polynomials_st,
+                     small_complex, systems_st)
 
 WORKED = """
 # embedded-point example
@@ -121,6 +122,62 @@ def test_evaluation_matches_naive_oracle(data):
     got = poly.evaluate(x)
     want = naive_poly_eval(poly, x)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def _dict_walk(rows, x):
+    """Sum of c * prod x**e over each row's terms, and the sum of |term|."""
+    values, scales = [], []
+    for p in rows:
+        terms = [naive_poly_eval(Polynomial(p.n_vars, {e: c}), x)
+                 for e, c in p.terms.items()]
+        values.append(sum(terms, 0j))
+        scales.append(sum(abs(t) for t in terms))
+    return np.array(values), np.array(scales)
+
+
+@st.composite
+def ragged_systems_st(draw):
+    """(system, point): zero and constant rows, an unused variable, any shape."""
+    n = draw(st.integers(1, 4))
+    unused = draw(st.none() | st.integers(0, n - 1))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["zero", "constant", "general"]))
+        if kind == "zero":
+            rows.append(Polynomial(n))
+        elif kind == "constant":
+            rows.append(Polynomial.constant(n, draw(small_complex())))
+        else:
+            p = draw(polynomials_st(n, max_degree=4, max_terms=6))
+            rows.append(Polynomial(n, {e: c for e, c in p.terms.items()
+                                       if unused is None or e[unused] == 0}))
+    return PolynomialSystem(rows), draw(points_st(n))
+
+
+# 4 rows in 3 variables: a zero row, a constant row, and x2 in no equation
+_EDGE_SYSTEM = PolynomialSystem([
+    Polynomial(3), Polynomial.constant(3, 2 - 1j),
+    Polynomial(3, {(2, 0, 1): 1.5j, (0, 0, 3): -2.0, (1, 0, 0): 1.0}),
+    Polynomial(3, {(1, 0, 1): 1.0})])
+
+
+@settings(max_examples=150)
+@given(ragged_systems_st())
+@example((PolynomialSystem([Polynomial(1, {(3,): 2j, (0,): 1.0})]), np.array([0.5 - 1j])))
+@example((_EDGE_SYSTEM, np.array([1.2 + 0.3j, -0.7j, 0.4 - 1.1j])))
+def test_compiled_tables_match_dict_walk(case):
+    system, x = case
+    n = system.n_vars
+    want, scale = _dict_walk(system.polys, x)
+    got = system.evaluate(x)
+    assert got.shape == (system.n_polys,)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.all(np.abs([p.evaluate(x) for p in system.polys] - want) <= 1e-12 * scale)
+    partials = [p.derivative(j) for p in system.polys for j in range(n)]
+    want, scale = _dict_walk(partials, x)
+    got = system.jacobian(x)
+    assert got.shape == (system.n_polys, n)
+    assert np.all(np.abs(got.ravel() - want) <= 1e-12 * scale)
 
 
 @settings(max_examples=150)

@@ -186,3 +186,29 @@ def test_tracking_deterministic(seed):
     assert np.array_equal(a.endpoint, b.endpoint)
     assert a.status == b.status
     assert a.steps_taken == b.steps_taken and a.newton_iters == b.newton_iters
+
+
+class _BrokenJacobian:
+    """Quadratic homotopy whose Jacobian carries a non-finite entry."""
+
+    def __init__(self, bad, dim):
+        self.bad = bad
+        self.dim = dim
+
+    def value(self, point, s):
+        return point ** 2 - 4.0
+
+    def jacobian(self, point, s):
+        out = np.diag(2.0 * point)
+        out[0, -1] = self.bad
+        return out
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.inf, np.nan),
+                                 complex(0.0, np.nan)])
+def test_newton_with_non_finite_jacobian_does_not_converge(bad, dim):
+    homotopy = _BrokenJacobian(bad, dim)
+    x = np.full(dim, 1.5 + 0.1j)
+    _, _, converged = newton_correct(homotopy, x, 0.5, TrackerConfig())
+    assert not converged
