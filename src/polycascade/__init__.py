@@ -11,13 +11,13 @@ __version__ = "0.1.0"
 from .cascade import (CascadeConfig, CascadeOutput, LevelStats,
                       NonSquareSystemError, SolutionClass, SolveOutput,
                       WitnessPoint, WitnessSuperset, classify_endpoint,
-                      cluster_points, cluster_witnesses, rerun_with_fresh_slice,
-                      run_cascade, solve_total_degree, verify_witness)
-from .embedding import (CascadeHomotopy, EmbeddedSystem, Hyperplane,
+                      cluster_points, cluster_witnesses, run_cascade,
+                      solve_total_degree, verify_witness)
+from .embedding import (CascadeHomotopy, EmbeddedSystem,
                         LevelOutOfRangeError, ParameterSample, StartHomotopy,
                         embed, sample_parameters)
 from .linalg import (LUFactors, RandomSource, SingularMatrixError,
-                     condition_estimate, lu_factor, lu_solve, solve)
+                     condition_estimate, lu_factor, lu_solve)
 from .polynomials import (DimensionMismatchError, ParseError, Polynomial,
                           PolynomialSystem, UnknownVariableError, format_system,
                           load_system, parse_system)
@@ -30,12 +30,11 @@ __all__ = [
     "CascadeConfig", "CascadeOutput", "LevelStats", "NonSquareSystemError",
     "SolutionClass", "SolveOutput", "WitnessPoint", "WitnessSuperset",
     "classify_endpoint", "cluster_points", "cluster_witnesses",
-    "rerun_with_fresh_slice", "run_cascade", "solve_total_degree",
-    "verify_witness",
-    "CascadeHomotopy", "EmbeddedSystem", "Hyperplane", "LevelOutOfRangeError",
+    "run_cascade", "solve_total_degree", "verify_witness",
+    "CascadeHomotopy", "EmbeddedSystem", "LevelOutOfRangeError",
     "ParameterSample", "StartHomotopy", "embed", "sample_parameters",
     "LUFactors", "RandomSource", "SingularMatrixError", "condition_estimate",
-    "lu_factor", "lu_solve", "solve",
+    "lu_factor", "lu_solve",
     "DimensionMismatchError", "ParseError", "Polynomial", "PolynomialSystem",
     "UnknownVariableError", "format_system", "load_system", "parse_system",
     "StartSystem", "ZeroPolynomialError", "build_start_system",

@@ -22,12 +22,13 @@ from enum import Enum
 
 import numpy as np
 
-from .embedding import (CascadeHomotopy, EmbeddedSystem, ParameterSample,
-                        StartHomotopy, embed, sample_parameters)
+from .embedding import (CascadeHomotopy, ParameterSample, StartHomotopy, embed,
+                        sample_parameters)
 from .linalg import RandomSource
 from .polynomials import PolynomialSystem
-from .start_systems import StartSystem, ZeroPolynomialError, build_start_system
-from .tracking import PathResult, PathStatus, TrackerConfig, refine_endpoint, track_batch
+from .start_systems import ZeroPolynomialError, build_start_system
+from .tracking import (PathResult, PathStatus, TrackerConfig, refine_endpoint,
+                       require_finite, track_batch)
 
 
 class NonSquareSystemError(ValueError):
@@ -47,6 +48,11 @@ class CascadeConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
     def __post_init__(self):
+        if isinstance(self.tracker, dict):
+            self.tracker = TrackerConfig.from_dict(self.tracker)
+        if not isinstance(self.tracker, TrackerConfig):
+            raise TypeError("tracker must be a TrackerConfig or a dict of its settings")
+        require_finite(self)
         if self.tol_z <= 0 or self.cluster_tol <= 0 or self.residual_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.tol_z >= self.cluster_tol:
@@ -57,8 +63,6 @@ class CascadeConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if isinstance(self.tracker, dict):
-            self.tracker = TrackerConfig.from_dict(self.tracker)
 
     def to_dict(self) -> dict:
         return {
@@ -211,20 +215,6 @@ def cluster_witnesses(results: list, n_vars: int, cfg: CascadeConfig) -> list:
     return witnesses
 
 
-class _SystemAsHomotopy:
-    """Adapter so refine_endpoint can polish against a fixed system."""
-
-    def __init__(self, system: EmbeddedSystem):
-        self.system = system
-        self.dim = system.dim
-
-    def value(self, point, s):
-        return self.system.evaluate(point)
-
-    def jacobian(self, point, s):
-        return self.system.jacobian(point)
-
-
 def verify_witness(x: np.ndarray, base: PolynomialSystem, params: ParameterSample,
                    level: int, cfg: CascadeConfig) -> dict:
     """Re-check a witness point against the base system and its slices.
@@ -235,13 +225,11 @@ def verify_witness(x: np.ndarray, base: PolynomialSystem, params: ParameterSampl
     """
     x = np.asarray(x, dtype=np.complex128)
     residual = float(np.max(np.abs(base.evaluate(x))))
-    if level > 0:
-        slice_residual = float(np.max(np.abs(params.slice_value(level, x))))
-    else:
-        slice_residual = 0.0
+    slice_residual = float(np.max(np.abs(params.slice_value(level, x)), initial=0.0))
     embedded = embed(base, params, level)
     point = np.concatenate([x, np.zeros(level, dtype=np.complex128)])
-    refined, _, _, _ = refine_endpoint(_SystemAsHomotopy(embedded), point, cfg.tracker)
+    refined, _, _, _ = refine_endpoint(embedded.evaluate, embedded.jacobian, point,
+                                       cfg.tracker)
     drift = float(np.max(np.abs(refined - point)))
     passed = (residual <= cfg.residual_tol
               and slice_residual <= cfg.residual_tol
@@ -274,44 +262,51 @@ def _validate_input(f: PolynomialSystem) -> None:
             raise ZeroPolynomialError(f"equation {k + 1} is identically zero")
 
 
-def _split_level0(results: list, cfg: CascadeConfig):
-    """Cluster level-0 endpoints into isolated solutions and leftovers.
+def _classify(results: list, level: int, cfg: CascadeConfig) -> dict:
+    """Endpoints bucketed by class, each bucket in tracking order."""
+    by_class: dict = {c: [] for c in SolutionClass}
+    for r in results:
+        by_class[classify_endpoint(r, level, cfg)].append(r)
+    return by_class
+
+
+def _track_from_start(target, rng: RandomSource, cfg: CascadeConfig, slack_vars: int = 0):
+    """Track every root of the total-degree start system for target.
+
+    Returns (results, start system, gamma).
+    """
+    start = build_start_system(target, rng, slack_vars=slack_vars)
+    gamma = rng.unit_complex()
+    results = track_batch(StartHomotopy(target, start, gamma), list(start.roots()),
+                          cfg.tracker, threads=cfg.threads)
+    return results, start, gamma
+
+
+def _finish_level0(results: list, n: int, cfg: CascadeConfig, t0: float):
+    """Isolated solutions, clustered leftovers and the stats row of level 0.
 
     A cluster of several converged paths is a multiple solution no matter
     how tame its condition number looks (the Jacobian can stay scale-balanced
     on the approach), so only singleton clusters count as isolated.
     """
+    by_class = _classify(results, 0, cfg)
+    candidates = by_class[SolutionClass.NONSINGULAR_SLACK]
+    pool = by_class[SolutionClass.SINGULAR_UNRESOLVED]
     isolated = []
-    pool = []
-    candidates = []
-    for r in results:
-        cls = classify_endpoint(r, 0, cfg)
-        if cls == SolutionClass.NONSINGULAR_SLACK:
-            candidates.append(r)
-        elif cls == SolutionClass.SINGULAR_UNRESOLVED:
-            pool.append(r)
-    demoted = 0
-    if candidates:
-        xs = [r.endpoint for r in candidates]
-        for group in cluster_points(xs, cfg.cluster_tol):
-            if len(group) == 1:
-                r = candidates[group[0]]
-                isolated.append(WitnessPoint(
-                    x=np.asarray(r.endpoint).copy(), multiplicity=1,
-                    residual=float(r.residual), condition=float(r.condition)))
-            else:
-                demoted += len(group)
-                pool.extend(candidates[k] for k in group)
-    unresolved_points = []
-    if pool:
-        xs = [np.asarray(r.endpoint) for r in pool]
-        for group in cluster_points(xs, cfg.cluster_tol):
-            best = min(group, key=lambda k: pool[k].residual)
-            unresolved_points.append(WitnessPoint(
-                x=xs[best].copy(), multiplicity=len(group),
-                residual=float(pool[best].residual),
-                condition=float(pool[best].condition)))
-    return isolated, unresolved_points, len(candidates) - demoted
+    for group in cluster_points([r.endpoint for r in candidates], cfg.cluster_tol):
+        if len(group) == 1:
+            r = candidates[group[0]]
+            isolated.append(WitnessPoint(
+                x=np.asarray(r.endpoint).copy(), multiplicity=1,
+                residual=float(r.residual), condition=float(r.condition)))
+        else:
+            pool.extend(candidates[k] for k in group)
+    diverged = len(by_class[SolutionClass.DIVERGED])
+    stats = LevelStats(
+        level=0, n_paths=len(results), on_component=0, regular=len(isolated),
+        diverged=diverged, unresolved=len(results) - len(isolated) - diverged,
+        wall_ms=(time.perf_counter() - t0) * 1000.0)
+    return isolated, cluster_witnesses(pool, n, cfg), stats
 
 
 def run_cascade(f: PolynomialSystem, cfg: CascadeConfig) -> CascadeOutput:
@@ -322,78 +317,45 @@ def run_cascade(f: PolynomialSystem, cfg: CascadeConfig) -> CascadeOutput:
     params = sample_parameters(n, rng)
     top = n - 1
 
-    e_top = embed(f, params, top)
-    start = build_start_system(e_top, rng, slack_vars=top)
-    gamma = rng.unit_complex()
-
     t0 = time.perf_counter()
-    results = track_batch(StartHomotopy(e_top, start, gamma), list(start.roots()),
-                          cfg.tracker, threads=cfg.threads)
+    results, start, gamma = _track_from_start(embed(f, params, top), rng, cfg,
+                                              slack_vars=top)
     total_paths = len(results)
 
     supersets = []
     stats = []
-    level = top
-    while level >= 1:
-        by_class: dict = {c: [] for c in SolutionClass}
-        for r in results:
-            by_class[classify_endpoint(r, level, cfg)].append(r)
+    for level in range(top, 0, -1):
+        by_class = _classify(results, level, cfg)
         on_component = by_class[SolutionClass.ON_COMPONENT]
         regular = by_class[SolutionClass.NONSINGULAR_SLACK]
 
         witnesses = cluster_witnesses(on_component, n, cfg)
-        kept = []
-        filtered = 0
-        for w in witnesses:
-            if verify_witness(w.x, f, params, level, cfg)["pass"]:
-                kept.append(w)
-            else:
-                filtered += 1
+        kept = [w for w in witnesses
+                if verify_witness(w.x, f, params, level, cfg)["pass"]]
         slices = [(complex(params.eff_constants[j]), params.eff_coefficients[j].copy())
                   for j in range(level)]
         supersets.append(WitnessSuperset(level=level, points=kept, slices=slices,
-                                         filtered_out=filtered))
-
-        wall_ms = (time.perf_counter() - t0) * 1000.0
+                                         filtered_out=len(witnesses) - len(kept)))
         stats.append(LevelStats(
             level=level, n_paths=len(results),
             on_component=len(on_component), regular=len(regular),
             diverged=len(by_class[SolutionClass.DIVERGED]),
             unresolved=len(by_class[SolutionClass.SINGULAR_UNRESOLVED]),
-            wall_ms=wall_ms))
+            wall_ms=(time.perf_counter() - t0) * 1000.0))
 
+        # with no nonsingular endpoints the lower levels get empty rows
         t0 = time.perf_counter()
-        if not regular:
-            results = []
-            level -= 1
-            # nothing to continue with; lower levels get empty rows
-            while level >= 1:
-                supersets.append(WitnessSuperset(
-                    level=level, points=[],
-                    slices=[(complex(params.eff_constants[j]),
-                             params.eff_coefficients[j].copy()) for j in range(level)]))
-                stats.append(LevelStats(level, 0, 0, 0, 0, 0, 0.0))
-                level -= 1
-            break
-        homotopy = CascadeHomotopy(f, params, level)
-        results = track_batch(homotopy, [r.endpoint for r in regular],
-                              cfg.tracker, threads=cfg.threads)
-        total_paths += len(results)
-        _strip_slack(results, n, level - 1)
-        level -= 1
+        results = []
+        if regular:
+            results = track_batch(CascadeHomotopy(f, params, level),
+                                  [r.endpoint for r in regular],
+                                  cfg.tracker, threads=cfg.threads)
+            total_paths += len(results)
+            _strip_slack(results, n, level - 1)
 
-    diverged0 = sum(1 for r in results
-                    if classify_endpoint(r, 0, cfg) == SolutionClass.DIVERGED)
-    isolated, unresolved0, n_isolated = _split_level0(results, cfg)
-    stats.append(LevelStats(
-        level=0, n_paths=len(results), on_component=0, regular=n_isolated,
-        diverged=diverged0, unresolved=len(results) - n_isolated - diverged0,
-        wall_ms=(time.perf_counter() - t0) * 1000.0))
-
-    top_dimension = None
-    for superset in supersets:
-        if superset.points:
-            top_dimension = max(top_dimension or 0, superset.level)
+    isolated, unresolved0, stats0 = _finish_level0(results, n, cfg, t0)
+    stats.append(stats0)
+    top_dimension = max((ws.level for ws in supersets if ws.points), default=None)
     if top_dimension is None and isolated:
         top_dimension = 0
 
@@ -407,28 +369,10 @@ def run_cascade(f: PolynomialSystem, cfg: CascadeConfig) -> CascadeOutput:
 def solve_total_degree(f: PolynomialSystem, cfg: CascadeConfig) -> SolveOutput:
     """Plain total-degree homotopy against f itself, no embedding."""
     _validate_input(f)
-    rng = RandomSource(cfg.seed)
-    start = build_start_system(f, rng)
-    gamma = rng.unit_complex()
-    target = embed(f, None, 0)
-
     t0 = time.perf_counter()
-    results = track_batch(StartHomotopy(target, start, gamma), list(start.roots()),
-                          cfg.tracker, threads=cfg.threads)
-    diverged = sum(1 for r in results
-                   if classify_endpoint(r, 0, cfg) == SolutionClass.DIVERGED)
-    solutions, unresolved, n_regular = _split_level0(results, cfg)
-    stats = LevelStats(
-        level=0, n_paths=len(results), on_component=0, regular=n_regular,
-        diverged=diverged, unresolved=len(results) - n_regular - diverged,
-        wall_ms=(time.perf_counter() - t0) * 1000.0)
+    results, start, gamma = _track_from_start(embed(f, None, 0), RandomSource(cfg.seed), cfg)
+    solutions, unresolved, stats = _finish_level0(results, f.n_vars, cfg, t0)
     return SolveOutput(results=results, solutions=solutions, unresolved=unresolved,
                        stats=stats, gamma=gamma,
                        start_constants=start.constants.copy(),
                        total_paths=len(results), seed=cfg.seed)
-
-
-def rerun_with_fresh_slice(f: PolynomialSystem, cfg: CascadeConfig,
-                           seed: int) -> CascadeOutput:
-    """Same cascade under an independent parameter draw."""
-    return run_cascade(f, dataclasses.replace(cfg, seed=seed))

@@ -18,7 +18,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cascade import CascadeConfig, NonSquareSystemError, run_cascade, solve_total_degree
+from .cascade import (CascadeConfig, NonSquareSystemError, run_cascade,
+                      solve_total_degree, verify_witness)
+from .embedding import ParameterSample
 from .polynomials import ParseError, parse_system
 from .report import (build_cascade_report, build_solve_report, canonical_dumps,
                      j2vec, load_report, render_cascade_summary,
@@ -147,53 +149,57 @@ def _load_config_or_exit(args):
         return None
 
 
-def _decode_witness_sets(report: dict):
-    """(residual tolerance, [(level, slices, points)]) decoded from a report."""
-    tol = float(report["config"]["residual_tol"])
-    sets = []
-    for ws in sorted(report.get("witness_sets", []), key=lambda w: -w["level"]):
-        slices = [(complex(sl["constant"][0], sl["constant"][1]),
-                   j2vec(sl["coefficients"])) for sl in ws["slices"]]
-        points = [j2vec(p["coordinates"]) for p in ws["points"]]
-        if any(a.shape != w.shape for _, a in slices for w in points):
-            raise ValueError(f"dim {ws['level']}: slice and point lengths differ")
-        sets.append((ws["level"], slices, points))
-    return tol, sets
+def _decode_report(report: dict):
+    """(config, parameters, [(level, points)]) decoded from a report.
+
+    The parameters are None when no witness point is stored: solve reports
+    carry none.
+    """
+    cfg = CascadeConfig.from_dict(report["config"])
+    sets = [(ws["level"], [j2vec(p["coordinates"]) for p in ws["points"]])
+            for ws in sorted(report.get("witness_sets", []), key=lambda w: -w["level"])]
+    if not any(points for _, points in sets):
+        return cfg, None, sets
+    p = report["parameters"]
+    params = ParameterSample(
+        seed=int(p["seed"]), eta=complex(*p["eta"]),
+        constants=j2vec([h["constant"] for h in p["hyperplanes"]]),
+        coefficients=np.vstack([j2vec(h["coefficients"]) for h in p["hyperplanes"]]),
+        lambda_matrix=np.vstack([j2vec(row) for row in p["lambda"]]))
+    if any(w.shape != (params.n,) for _, points in sets for w in points):
+        raise ValueError("witness points and parameters differ in length")
+    return cfg, params, sets
 
 
 def cmd_verify(args) -> int:
-    own = args.against is None
     try:
         report = load_report(args.report)
-        tol, witness_sets = _decode_witness_sets(report)
-        if own:
+        cfg, params, witness_sets = _decode_report(report)
+        if args.against is None:
             system = parse_system(report["input"]["source"])
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         print(f"malformed report: {exc!r}", file=sys.stderr)
         return EXIT_INPUT
-    if not own:
+    if args.against is not None:
         system = parse_system(_read_source(args.against))
+    if not system.is_square():
+        raise NonSquareSystemError(
+            f"system has {system.n_polys} equations in {system.n_vars} variables")
     failures = 0
     checked = 0
-    for level, slices, points in witness_sets:
+    for level, points in witness_sets:
         for idx, w in enumerate(points):
+            checked += 1
             if w.shape[0] != system.n_vars:
                 print(f"dim {level} point {idx}: FAIL "
                       f"(dimension mismatch with target system)")
                 failures += 1
-                checked += 1
                 continue
-            residual = float(np.max(np.abs(system.evaluate(w))))
-            parts = [f"residual {residual:.2e}"]
-            ok = residual <= tol
-            if own:
-                slice_res = max((abs(c + a @ w) for c, a in slices), default=0.0)
-                parts.append(f"slice {slice_res:.2e}")
-                ok = ok and slice_res <= tol
-            verdict = "PASS" if ok else "FAIL"
-            print(f"dim {level} point {idx}: {verdict} ({', '.join(parts)})")
-            checked += 1
-            failures += 0 if ok else 1
+            check = verify_witness(w, system, params, level, cfg)
+            verdict = "PASS" if check["pass"] else "FAIL"
+            print(f"dim {level} point {idx}: {verdict} (residual {check['residual']:.2e}, "
+                  f"slice {check['slice_residual']:.2e}, drift {check['drift']:.2e})")
+            failures += 0 if check["pass"] else 1
     if checked == 0:
         print("no witness points stored in report")
     print(f"{checked - failures}/{checked} witness points verified")

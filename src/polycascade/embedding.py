@@ -34,26 +34,17 @@ class LevelOutOfRangeError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Hyperplane:
-    """Affine form constant + coefficients . x."""
-
-    constant: complex
-    coefficients: np.ndarray
-
-    def evaluate(self, x: np.ndarray) -> complex:
-        return complex(self.constant + self.coefficients @ x)
-
-
-@dataclass(frozen=True, eq=False)
 class ParameterSample:
     """One run's random embedding data, regenerable from its seed.
 
-    lambda_matrix[k, j] is the multiplier of slack z_{j+1} in equation k+1.
-    The _eff arrays carry the eta-absorbed values actually used in systems.
+    Hyperplane j is constants[j] + coefficients[j] . x, and lambda_matrix[k, j]
+    is the multiplier of slack z_{j+1} in equation k+1.  The _eff arrays
+    carry the eta-absorbed values actually used in systems.
     """
 
     seed: int
-    hyperplanes: tuple[Hyperplane, ...]
+    constants: np.ndarray
+    coefficients: np.ndarray
     lambda_matrix: np.ndarray
     eta: complex
     eff_lambda: np.ndarray = field(init=False, repr=False)
@@ -62,15 +53,12 @@ class ParameterSample:
 
     def __post_init__(self):
         n = self.lambda_matrix.shape[0]
-        if self.lambda_matrix.shape != (n, n) or len(self.hyperplanes) != n:
+        if (self.lambda_matrix.shape != (n, n) or self.constants.shape != (n,)
+                or self.coefficients.shape != (n, n)):
             raise ValueError("parameter sample blocks must all be n-sized")
         object.__setattr__(self, "eff_lambda", self.eta * self.lambda_matrix)
-        object.__setattr__(
-            self, "eff_constants",
-            self.eta * np.array([h.constant for h in self.hyperplanes]))
-        object.__setattr__(
-            self, "eff_coefficients",
-            self.eta * np.vstack([h.coefficients for h in self.hyperplanes]))
+        object.__setattr__(self, "eff_constants", self.eta * self.constants)
+        object.__setattr__(self, "eff_coefficients", self.eta * self.coefficients)
 
     @property
     def n(self) -> int:
@@ -87,16 +75,16 @@ def sample_parameters(n: int, rng: RandomSource) -> ParameterSample:
     """Draw hyperplanes, multiplier columns, and eta, all unit-modulus."""
     if n < 1:
         raise ValueError("need at least one variable")
-    hyperplanes = []
-    for _ in range(n):
-        constant = rng.unit_complex()
-        coefficients = rng.unit_complex_array(n)
-        hyperplanes.append(Hyperplane(constant=constant, coefficients=coefficients))
+    constants = np.empty(n, dtype=np.complex128)
+    coefficients = np.empty((n, n), dtype=np.complex128)
+    for j in range(n):
+        constants[j] = rng.unit_complex()
+        coefficients[j] = rng.unit_complex_array(n)
     lam = np.empty((n, n), dtype=np.complex128)
     for j in range(n):
         lam[:, j] = rng.unit_complex_array(n)
     eta = rng.unit_complex()
-    return ParameterSample(seed=rng.seed, hyperplanes=tuple(hyperplanes),
+    return ParameterSample(seed=rng.seed, constants=constants, coefficients=coefficients,
                            lambda_matrix=lam, eta=eta)
 
 
@@ -197,22 +185,15 @@ class CascadeHomotopy:
     def slack_count(self) -> int:
         return self.level
 
-    def _split(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        point = np.asarray(point, dtype=np.complex128)
-        if point.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"expected point of length {self.dim}, got shape {point.shape}")
-        return point[:self.n], point[self.n:]
-
     def value(self, point: np.ndarray, s: float) -> np.ndarray:
         # the endpoint systems are evaluated through the same code path as
         # the embeddings themselves so the identities hold bit for bit
         if s == 1.0:
             return self._upper.evaluate(point)
         if s == 0.0:
-            x, z = self._split(point)
+            x, z = self._upper._split(point)
             return np.concatenate([self._lower.evaluate(point[:-1]), [z[-1]]])
-        x, z = self._split(point)
+        x, z = self._upper._split(point)
         i = self.level
         p = self.params
         zmod = z.copy()
@@ -224,7 +205,7 @@ class CascadeHomotopy:
         return np.concatenate([top, mids, [last]])
 
     def jacobian(self, point: np.ndarray, s: float) -> np.ndarray:
-        x, _ = self._split(point)
+        x, _ = self._upper._split(point)
         out = self._upper._jac.copy()
         out[:self.n, :self.n] = self.base.jacobian(x)
         out[:self.n, -1] *= s
@@ -232,7 +213,7 @@ class CascadeHomotopy:
         return out
 
     def s_derivative(self, point: np.ndarray, s: float) -> np.ndarray:
-        x, z = self._split(point)
+        x, z = self._upper._split(point)
         i = self.level
         p = self.params
         out = np.zeros(self.dim, dtype=np.complex128)

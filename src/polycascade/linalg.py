@@ -120,24 +120,17 @@ def condition_estimate(factors: LUFactors) -> float:
     return factors.condition
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One-shot linear solve, factoring and discarding."""
-    return lu_solve(lu_factor(a), b)
-
-
 class RandomSource:
     """Deterministic stream of unit-modulus complex numbers.
 
     Every random constant in the solver (start-system roots of unity offsets,
     hyperplane coefficients, multiplier columns, the accessory path constant)
     comes from one of these so a run is reproducible from its seed alone.
-    Child streams get an independent generator derived from the same seed.
     """
 
-    def __init__(self, seed: int, _spawn_key: tuple = ()):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self._spawn_key = tuple(_spawn_key)
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)
+        seq = np.random.SeedSequence(entropy=self.seed)
         self._gen = np.random.Generator(np.random.PCG64(seq))
 
     def unit_complex(self) -> complex:
@@ -148,7 +141,3 @@ class RandomSource:
     def unit_complex_array(self, count: int) -> np.ndarray:
         angles = self._gen.uniform(0.0, 2.0 * math.pi, size=count)
         return np.cos(angles) + 1j * np.sin(angles)
-
-    def child(self, key: int) -> "RandomSource":
-        """Independent stream for retries; stable under call order."""
-        return RandomSource(self.seed, self._spawn_key + (int(key),))

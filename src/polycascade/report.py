@@ -84,9 +84,8 @@ def build_cascade_report(output: CascadeOutput, source: str,
         "parameters": {
             "seed": int(params.seed),
             "eta": _c2j(params.eta),
-            "hyperplanes": [{"constant": _c2j(h.constant),
-                             "coefficients": _vec2j(h.coefficients)}
-                            for h in params.hyperplanes],
+            "hyperplanes": [{"constant": _c2j(c), "coefficients": _vec2j(a)}
+                            for c, a in zip(params.constants, params.coefficients)],
             "lambda": [_vec2j(row) for row in params.lambda_matrix],
         },
         "levels": [_stats2j(s) for s in output.stats],

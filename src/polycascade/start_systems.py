@@ -83,9 +83,9 @@ def build_start_system(target, rng: RandomSource, slack_vars: int = 0) -> StartS
     """Build the total-degree start system for a target.
 
     Args:
-        target: PolynomialSystem-like with a degrees() method, or a plain
-            sequence of degrees.  The trailing slack_vars rows are treated as
-            slack equations regardless of their listed degree.
+        target: PolynomialSystem-like with a degrees() method.  The
+            trailing slack_vars rows are treated as slack equations
+            regardless of their listed degree.
         rng: source for the unit-modulus constants.
         slack_vars: how many trailing equations are slack rows (z - 1 = 0).
 
@@ -93,7 +93,7 @@ def build_start_system(target, rng: RandomSource, slack_vars: int = 0) -> StartS
         ZeroPolynomialError: if any non-slack equation is identically zero
             (degree sentinel -1).
     """
-    degs = list(target.degrees() if hasattr(target, "degrees") else target)
+    degs = list(target.degrees())
     lead = len(degs) - slack_vars
     if lead < 0:
         raise ValueError("more slack variables than equations")

@@ -32,6 +32,13 @@ _GROWTH_SLOPE = -0.2
 _GROWTH_NORM_FLOOR = 10.0
 
 
+def require_finite(config) -> None:
+    """Refuse non-finite float settings: NaN fails every range comparison."""
+    for f in fields(config):
+        if f.type in (float, "float") and not math.isfinite(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass
 class TrackerConfig:
     """Step-control and tolerance knobs for path tracking."""
@@ -48,6 +55,7 @@ class TrackerConfig:
     endpoint_refine_iters: int = 10
 
     def __post_init__(self):
+        require_finite(self)
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
         if self.max_newton_iters < 1:
@@ -143,8 +151,8 @@ def _stable_ratio(ratios: list) -> float | None:
     return r2
 
 
-def refine_endpoint(homotopy, point: np.ndarray, config: TrackerConfig):
-    """Polish an endgame point against the s=0 system.
+def refine_endpoint(value_of, jacobian_of, point: np.ndarray, config: TrackerConfig):
+    """Polish a point against the system with the given value and Jacobian.
 
     Plain Newton handles regular endpoints; at a multiple solution the
     correction norms decay by the fixed factor (mu-1)/mu, which is detected
@@ -154,7 +162,7 @@ def refine_endpoint(homotopy, point: np.ndarray, config: TrackerConfig):
     x = np.asarray(point, dtype=np.complex128).copy()
 
     def residual_of(pt):
-        value = homotopy.value(pt, 0.0)
+        value = value_of(pt)
         if not np.all(np.isfinite(value)):
             return math.inf
         return float(np.max(np.abs(value)))
@@ -167,11 +175,11 @@ def refine_endpoint(homotopy, point: np.ndarray, config: TrackerConfig):
     iters = 0
     for _ in range(config.endpoint_refine_iters):
         try:
-            factors = lu_factor(homotopy.jacobian(x, 0.0))
+            factors = lu_factor(jacobian_of(x))
         except SingularMatrixError:
             factors = None
             break
-        value = homotopy.value(x, 0.0)
+        value = value_of(x)
         delta = lu_solve(factors, -value)
         if not np.all(np.isfinite(delta)):
             break
@@ -200,7 +208,7 @@ def refine_endpoint(homotopy, point: np.ndarray, config: TrackerConfig):
             break
 
     try:
-        condition = condition_estimate(lu_factor(homotopy.jacobian(best_x, 0.0)))
+        condition = condition_estimate(lu_factor(jacobian_of(best_x)))
     except SingularMatrixError:
         condition = math.inf
     return best_x, best_res, condition, iters
@@ -270,7 +278,9 @@ def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
         # polish against the s=0 system; endpoints of singular paths stall
         # short of the boundary but still sit inside the refiner's basin
         nonlocal newton_total
-        x_ref, residual, condition, iters = refine_endpoint(homotopy, at_x, config)
+        x_ref, residual, condition, iters = refine_endpoint(
+            lambda p: homotopy.value(p, 0.0), lambda p: homotopy.jacobian(p, 0.0),
+            at_x, config)
         newton_total += iters
         drift = float(np.max(np.abs(x_ref - at_x)))
         if drift > 0.25 * (1.0 + float(np.max(np.abs(at_x)))):

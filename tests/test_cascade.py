@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from polycascade.cascade import (CascadeConfig, NonSquareSystemError,
                                  SolutionClass, classify_endpoint, cluster_points,
-                                 cluster_witnesses, rerun_with_fresh_slice,
-                                 run_cascade, solve_total_degree, verify_witness)
+                                 cluster_witnesses, run_cascade,
+                                 solve_total_degree, verify_witness)
 from polycascade.embedding import embed, sample_parameters
 from polycascade.linalg import RandomSource
 from polycascade.polynomials import parse_system
@@ -150,11 +150,27 @@ def test_verify_witness_accepts_true_point_rejects_perturbed():
 def test_fresh_slice_reproduces_geometry():
     f = parse_system(WORKED)
     base = CascadeConfig(seed=1)
-    again = rerun_with_fresh_slice(f, base, seed=6)
+    again = run_cascade(f, dataclasses.replace(base, seed=6))
     assert again.seed == 6
     assert again.top_dimension == 1
     dim1 = next(ws for ws in again.supersets if ws.level == 1)
     assert len(dim1.points) == 1 and dim1.points[0].multiplicity == 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_empty_lower_levels_after_no_regular_endpoint(seed):
+    # the unit sphere written three times: every level-2 path lands on the
+    # sphere or diverges, so levels 1 and 0 receive no paths at all
+    f = parse_system("3\n*\nx1^2 + x2^2 + x3^2 - 1;\n"
+                     "2*x1^2 + 2*x2^2 + 2*x3^2 - 2;\n"
+                     "3*x1^2 + 3*x2^2 + 3*x3^2 - 3;\n")
+    out = run_cascade(f, CascadeConfig(seed=seed))
+    assert [(s.level, s.n_paths) for s in out.stats] == [(2, 8), (1, 0), (0, 0)]
+    assert [(ws.level, len(ws.slices)) for ws in out.supersets] == [(2, 2), (1, 1)]
+    assert len(out.supersets[0].points) == 2 and out.supersets[1].points == []
+    assert out.top_dimension == 2
+    assert out.total_paths == 8
+    assert out.isolated_solutions == [] and out.unresolved_level0 == []
 
 
 def _cheap_config(seed):

@@ -93,6 +93,28 @@ def test_verify_pass_and_exit_zero(worked_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out and "1/1 witness points verified" in out
+    line = next(l for l in out.splitlines() if "PASS" in l)
+    assert "residual" in line and "slice" in line and "drift" in line
+
+
+def test_verify_solve_report_exit_zero(linear_file, tmp_path, capsys):
+    report_path = str(tmp_path / "run.json")
+    assert main(["solve", linear_file, "--seed", "2",
+                 "--report", report_path]) == 0
+    capsys.readouterr()
+    assert main(["verify", report_path]) == 0
+    assert "no witness points" in capsys.readouterr().out
+
+
+def test_verify_against_non_square_exit_3(worked_file, tmp_path, capsys):
+    report_path = str(tmp_path / "run.json")
+    assert main(["cascade", worked_file, "--seed", "1",
+                 "--report", report_path]) == 0
+    nonsq = tmp_path / "nonsq.sys"
+    nonsq.write_text("2\n*\nx1*x2 - 1;\n")
+    capsys.readouterr()
+    assert main(["verify", report_path, "--against", str(nonsq)]) == 3
+    assert "not square" in capsys.readouterr().err
 
 
 def test_verify_against_unrelated_system_fails(worked_file, linear_file,
@@ -132,7 +154,13 @@ def _short_coordinate(report):
     return report
 
 
-@pytest.mark.parametrize("corrupt", [_as_list, _text_tolerance, _short_coordinate])
+def _short_lambda_row(report):
+    report["parameters"]["lambda"][0].pop()
+    return report
+
+
+@pytest.mark.parametrize("corrupt", [_as_list, _text_tolerance, _short_coordinate,
+                                     _short_lambda_row])
 def test_verify_malformed_report_exit_2(worked_file, tmp_path, capsys, corrupt):
     report_path = tmp_path / "run.json"
     assert main(["cascade", worked_file, "--seed", "1",
@@ -176,14 +204,22 @@ def test_zero_polynomial_exit_2(tmp_path, capsys):
     assert "identically zero" in capsys.readouterr().err
 
 
-def test_bad_config_exit_4(linear_file, tmp_path, capsys):
+def test_bad_config_exit_4(worked_file, linear_file, tmp_path, capsys):
     assert main(["solve", linear_file, "--seed", "-1"]) == 4
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text('{"mystery": true}')
     assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4
     cfgfile.write_text("not json")
     assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4
-    assert "configuration error" in capsys.readouterr().err
+    for tracker in ("5", "[]"):
+        cfgfile.write_text('{"tracker": %s}' % tracker)
+        assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4
+    # NaN fails every range comparison, so it needs its own rejection
+    assert main(["cascade", worked_file, "--seed", "1", "--tol-z", "nan"]) == 4
+    assert main(["solve", linear_file, "--newton-tol", "nan"]) == 4
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert "tol_z must be finite" in err and "newton_tol must be finite" in err
 
 
 def test_config_file_applies(linear_file, capsys):

@@ -153,9 +153,8 @@ def test_parameter_sample_deterministic_and_unimodular(seed, n):
     b = sample_parameters(n, RandomSource(seed))
     assert a.eta == b.eta
     assert np.array_equal(a.lambda_matrix, b.lambda_matrix)
-    for ha, hb in zip(a.hyperplanes, b.hyperplanes):
-        assert ha.constant == hb.constant
-        assert np.array_equal(ha.coefficients, hb.coefficients)
+    assert np.array_equal(a.constants, b.constants)
+    assert np.array_equal(a.coefficients, b.coefficients)
     assert abs(abs(a.eta) - 1.0) < 1e-15
     assert np.max(np.abs(np.abs(a.lambda_matrix) - 1.0)) < 1e-15
     # effective values are the raw draws scaled once by eta
@@ -167,5 +166,5 @@ def test_slice_value_matches_hyperplanes():
     x = np.array([0.3 + 0.2j, -0.5 + 0.8j, 1.0 - 0.4j])
     vals = params.slice_value(2, x)
     for j in range(2):
-        want = params.eta * params.hyperplanes[j].evaluate(x)
+        want = params.eta * (params.constants[j] + params.coefficients[j] @ x)
         assert abs(vals[j] - want) < 1e-15

@@ -126,9 +126,10 @@ def test_euler_prediction_second_order(seed, s_percent):
 
 
 def test_refine_endpoint_regular_root():
-    homotopy, _ = _quadratic_homotopy(seed=2)
+    target = embed(parse_system("1\n*\nx1^2 - 4;\n"), None, 0)
     x = np.array([2.0 + 1e-5 + 1e-5j])
-    refined, residual, condition, iters = refine_endpoint(homotopy, x, TrackerConfig())
+    refined, residual, condition, iters = refine_endpoint(
+        target.evaluate, target.jacobian, x, TrackerConfig())
     assert abs(refined[0] - 2.0) < 1e-12
     assert residual < 1e-12
     assert condition < 100
@@ -139,16 +140,9 @@ def test_refine_endpoint_multiple_root_acceleration():
     # multiplicity-scaled step must still reach full accuracy in the budget
     f = parse_system("1\n*\nx1^3 - 3*x1^2 + 3*x1 - 1;\n")
     target = embed(f, None, 0)
-
-    class _Plain:
-        dim = 1
-        def value(self, p, s):
-            return target.evaluate(p)
-        def jacobian(self, p, s):
-            return target.jacobian(p)
-
     x = np.array([1.01 + 0.005j])
-    refined, residual, condition, _ = refine_endpoint(_Plain(), x, TrackerConfig())
+    refined, residual, condition, _ = refine_endpoint(
+        target.evaluate, target.jacobian, x, TrackerConfig())
     assert abs(refined[0] - 1.0) < 1e-5
     assert residual < 1e-13
 
