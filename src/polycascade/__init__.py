@@ -19,8 +19,8 @@ from .embedding import (CascadeHomotopy, EmbeddedSystem,
 from .linalg import (LUFactors, RandomSource, SingularMatrixError,
                      condition_estimate, lu_factor, lu_solve)
 from .polynomials import (DimensionMismatchError, ParseError, Polynomial,
-                          PolynomialSystem, UnknownVariableError, format_system,
-                          load_system, parse_system)
+                          PolynomialSystem, UnknownVariableError, load_system,
+                          parse_system)
 from .start_systems import StartSystem, ZeroPolynomialError, build_start_system
 from .tracking import (PathResult, PathStatus, TrackerConfig, euler_predict,
                        newton_correct, refine_endpoint, track_batch, track_path)
@@ -36,7 +36,7 @@ __all__ = [
     "LUFactors", "RandomSource", "SingularMatrixError", "condition_estimate",
     "lu_factor", "lu_solve",
     "DimensionMismatchError", "ParseError", "Polynomial", "PolynomialSystem",
-    "UnknownVariableError", "format_system", "load_system", "parse_system",
+    "UnknownVariableError", "load_system", "parse_system",
     "StartSystem", "ZeroPolynomialError", "build_start_system",
     "PathResult", "PathStatus", "TrackerConfig", "euler_predict",
     "newton_correct", "refine_endpoint", "track_batch", "track_path",

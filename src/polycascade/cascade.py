@@ -15,7 +15,6 @@ no witness points at all and would only add start paths.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,8 +26,8 @@ from .embedding import (CascadeHomotopy, ParameterSample, StartHomotopy, embed,
 from .linalg import RandomSource
 from .polynomials import PolynomialSystem
 from .start_systems import ZeroPolynomialError, build_start_system
-from .tracking import (PathResult, PathStatus, TrackerConfig, refine_endpoint,
-                       require_finite, track_batch)
+from .tracking import (PathResult, PathStatus, TrackerConfig, _Settings,
+                       refine_endpoint, track_batch)
 
 
 class NonSquareSystemError(ValueError):
@@ -36,7 +35,7 @@ class NonSquareSystemError(ValueError):
 
 
 @dataclass
-class CascadeConfig:
+class CascadeConfig(_Settings):
     """Thresholds and run controls for classification and clustering."""
 
     tol_z: float = 1e-8
@@ -52,7 +51,7 @@ class CascadeConfig:
             self.tracker = TrackerConfig.from_dict(self.tracker)
         if not isinstance(self.tracker, TrackerConfig):
             raise TypeError("tracker must be a TrackerConfig or a dict of its settings")
-        require_finite(self)
+        self._check_types()
         if self.tol_z <= 0 or self.cluster_tol <= 0 or self.residual_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.tol_z >= self.cluster_tol:
@@ -63,22 +62,6 @@ class CascadeConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "tol_z": self.tol_z, "cond_max": self.cond_max,
-            "cluster_tol": self.cluster_tol, "residual_tol": self.residual_tol,
-            "seed": self.seed, "threads": self.threads,
-            "tracker": self.tracker.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CascadeConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown cascade settings: {sorted(unknown)}")
-        return cls(**data)
 
 
 class SolutionClass(str, Enum):
@@ -91,15 +74,16 @@ class SolutionClass(str, Enum):
 def classify_endpoint(result: PathResult, level: int, cfg: CascadeConfig) -> SolutionClass:
     """Assign a path endpoint to its bucket at the given level.
 
-    Slack is only meaningful at level >= 1; level-0 endpoints split into
-    nonsingular (isolated solution candidates) and unresolved.  Failed paths
-    are unresolved by definition.
+    A level-i endpoint ends in its i slack coordinates z_1..z_i, and it lies
+    on a component when all of them vanish.  Level-0 endpoints have no slack
+    and split into nonsingular (isolated solution candidates) and
+    unresolved.  Failed paths are unresolved by definition.
     """
     if result.status == PathStatus.DIVERGED:
         return SolutionClass.DIVERGED
     if result.status == PathStatus.FAILED:
         return SolutionClass.SINGULAR_UNRESOLVED
-    if level >= 1 and result.slack_norm <= cfg.tol_z:
+    if level >= 1 and float(np.max(np.abs(result.endpoint[-level:]))) <= cfg.tol_z:
         return SolutionClass.ON_COMPONENT
     if result.condition <= cfg.cond_max and result.residual <= cfg.residual_tol:
         return SolutionClass.NONSINGULAR_SLACK
@@ -238,21 +222,6 @@ def verify_witness(x: np.ndarray, base: PolynomialSystem, params: ParameterSampl
             "slice_residual": slice_residual, "drift": drift}
 
 
-def _strip_slack(results: list, n_vars: int, new_level: int) -> None:
-    """Drop the tracked z coordinate of a finished level in place.
-
-    The last slack is exactly zero at converged endpoints (it is one of the
-    refined equations), so the point continues at the next level down with
-    the remaining slacks deciding on/off-component.
-    """
-    for r in results:
-        r.endpoint = r.endpoint[:-1]
-        if new_level > 0:
-            r.slack_norm = float(np.max(np.abs(r.endpoint[n_vars:])))
-        else:
-            r.slack_norm = 0.0
-
-
 def _validate_input(f: PolynomialSystem) -> None:
     if not f.is_square():
         raise NonSquareSystemError(
@@ -351,7 +320,10 @@ def run_cascade(f: PolynomialSystem, cfg: CascadeConfig) -> CascadeOutput:
                                   [r.endpoint for r in regular],
                                   cfg.tracker, threads=cfg.threads)
             total_paths += len(results)
-            _strip_slack(results, n, level - 1)
+            # z_level is exactly zero at converged endpoints (it is one of
+            # the refined equations); the slacks left decide the next level
+            for r in results:
+                r.endpoint = r.endpoint[:-1]
 
     isolated, unresolved0, stats0 = _finish_level0(results, n, cfg, t0)
     stats.append(stats0)

@@ -36,7 +36,8 @@ EXIT_VERIFY = 5
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="polynomial system file")
-    sub.add_argument("--seed", type=int, default=0, help="random seed (64-bit)")
+    sub.add_argument("--seed", type=int, default=None,
+                     help="random seed (64-bit; default 0)")
     sub.add_argument("--tol-z", type=float, default=None,
                      help="slack threshold for on-component classification")
     sub.add_argument("--cond-max", type=float, default=None,
@@ -84,7 +85,8 @@ def _build_config(args) -> CascadeConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         settings.update(loaded)
-    settings["seed"] = args.seed
+    if args.seed is not None:
+        settings["seed"] = args.seed
     if args.tol_z is not None:
         settings["tol_z"] = args.tol_z
     if args.cond_max is not None:
@@ -153,7 +155,8 @@ def _decode_report(report: dict):
     """(config, parameters, [(level, points)]) decoded from a report.
 
     The parameters are None when no witness point is stored: solve reports
-    carry none.
+    carry none.  The witness file is written from each set's slices, so they
+    must equal the parameters' effective hyperplanes (JSON floats round-trip).
     """
     cfg = CascadeConfig.from_dict(report["config"])
     sets = [(ws["level"], [j2vec(p["coordinates"]) for p in ws["points"]])
@@ -168,6 +171,14 @@ def _decode_report(report: dict):
         lambda_matrix=np.vstack([j2vec(row) for row in p["lambda"]]))
     if any(w.shape != (params.n,) for _, points in sets for w in points):
         raise ValueError("witness points and parameters differ in length")
+    for ws in report["witness_sets"]:
+        level = ws["level"]
+        constants = j2vec([sl["constant"] for sl in ws["slices"]])
+        coefficients = np.array([j2vec(sl["coefficients"]) for sl in ws["slices"]])
+        if not (1 <= level <= params.n
+                and np.array_equal(constants, params.eff_constants[:level])
+                and np.array_equal(coefficients, params.eff_coefficients[:level])):
+            raise ValueError(f"dim {level} witness set disagrees with the parameters")
     return cfg, params, sets
 
 

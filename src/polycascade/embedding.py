@@ -118,10 +118,6 @@ class EmbeddedSystem:
     def dim(self) -> int:
         return self.n + self.level
 
-    @property
-    def slack_count(self) -> int:
-        return self.level
-
     def degrees(self) -> tuple[int, ...]:
         base = self.base.degrees()
         if self.level == 0:
@@ -181,10 +177,6 @@ class CascadeHomotopy:
         self._upper = EmbeddedSystem(base, params, level)
         self._lower = EmbeddedSystem(base, params, level - 1)
 
-    @property
-    def slack_count(self) -> int:
-        return self.level
-
     def value(self, point: np.ndarray, s: float) -> np.ndarray:
         # the endpoint systems are evaluated through the same code path as
         # the embeddings themselves so the identities hold bit for bit
@@ -241,10 +233,6 @@ class StartHomotopy:
         self.start = start
         self.gamma = complex(gamma)
         self.dim = target.dim
-
-    @property
-    def slack_count(self) -> int:
-        return getattr(self.target, "slack_count", 0)
 
     def value(self, point: np.ndarray, s: float) -> np.ndarray:
         point = np.asarray(point, dtype=np.complex128)

@@ -24,11 +24,13 @@ A polynomial count that differs from the variable count parses into a
 non-square system; solver entry points reject those.  Comments run from
 # to end of line.  Coefficients are written a, b*i, or
 a+b*i; the letter i is reserved for the imaginary unit.  Operators are
-+ - * ^ with the usual precedence and unary minus.
++ - * ^ with the usual precedence and unary minus.  A non-finite literal or
+intermediate coefficient (1e400, 1e200*1e200, 0*1e400) is a parse error.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -92,7 +94,7 @@ class Polynomial:
     polynomials and equality is exact term-by-term.
     """
 
-    __slots__ = ("n_vars", "terms", "_table")
+    __slots__ = ("n_vars", "terms")
 
     def __init__(self, n_vars: int, terms: Mapping[tuple, complex] | None = None):
         self.n_vars = int(n_vars)
@@ -109,7 +111,6 @@ class Polynomial:
             else:
                 clean[key] = c
         self.terms = clean
-        self._table = None
 
     @classmethod
     def constant(cls, n_vars: int, value: complex) -> "Polynomial":
@@ -129,9 +130,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def derivative(self, index: int) -> "Polynomial":
         """Partial derivative with respect to variable index."""
         out: dict[tuple, complex] = {}
@@ -142,15 +140,6 @@ class Polynomial:
             key = exps[:index] + (e - 1,) + exps[index + 1:]
             out[key] = out.get(key, 0j) + coeff * e
         return Polynomial(self.n_vars, out)
-
-    def evaluate(self, x) -> complex:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (self.n_vars,):
-            raise DimensionMismatchError(
-                f"expected point of length {self.n_vars}, got shape {x.shape}")
-        if self._table is None:
-            self._table = _MonomialTable([self], self.n_vars)
-        return complex(self._table(x)[0])
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -305,6 +294,12 @@ class _Parser:
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    @staticmethod
+    def _finite(poly: Polynomial, tok: _Token) -> Polynomial:
+        if not all(cmath.isfinite(c) for c in poly.terms.values()):
+            raise ParseError("coefficient is not finite", tok.line, tok.col)
+        return poly
+
     def _next(self) -> _Token:
         tok = self._peek()
         if tok is None:
@@ -328,7 +323,7 @@ class _Parser:
                 return poly
             self._next()
             rhs = self.factor()
-            poly = poly + rhs if tok.text == "+" else poly - rhs
+            poly = self._finite(poly + rhs if tok.text == "+" else poly - rhs, tok)
 
     def factor(self) -> Polynomial:
         poly = self.signed()
@@ -337,7 +332,7 @@ class _Parser:
             if tok is None or tok.kind != "op" or tok.text != "*":
                 return poly
             self._next()
-            poly = poly * self.signed()
+            poly = self._finite(poly * self.signed(), tok)
 
     def signed(self) -> Polynomial:
         sign = 1
@@ -359,13 +354,13 @@ class _Parser:
             if etok.kind != "num" or not etok.text.isdigit():
                 raise ParseError("exponent must be a nonnegative integer",
                                  etok.line, etok.col)
-            base = base ** int(etok.text)
+            base = self._finite(base ** int(etok.text), tok)
         return base
 
     def atom(self) -> Polynomial:
         tok = self._next()
         if tok.kind == "num":
-            return Polynomial.constant(self.n_vars, float(tok.text))
+            return self._finite(Polynomial.constant(self.n_vars, float(tok.text)), tok)
         if tok.kind == "name":
             if tok.text == "i":
                 return Polynomial.constant(self.n_vars, 1j)
@@ -453,61 +448,3 @@ def parse_system(text: str) -> PolynomialSystem:
 
 def load_system(path) -> PolynomialSystem:
     return parse_system(Path(path).read_text(encoding="utf-8"))
-
-
-def _format_float(value: float) -> str:
-    text = repr(float(value))
-    if text.endswith(".0"):
-        text = text[:-2]
-    return text
-
-
-def _format_term(coeff: complex, exps: tuple, names: tuple) -> tuple[str, str]:
-    """Return (sign, body) where sign is '+' or '-' and body parses back."""
-    parts = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    mono = "*".join(parts)
-
-    re_part, im_part = coeff.real, coeff.imag
-    if im_part == 0:
-        sign = "-" if re_part < 0 else "+"
-        body = _format_float(abs(re_part))
-        if mono and body == "1":
-            return sign, mono
-    elif re_part == 0:
-        sign = "-" if im_part < 0 else "+"
-        mag = abs(im_part)
-        body = "i" if mag == 1 else f"{_format_float(mag)}*i"
-    else:
-        sign = "+"
-        im_sign = "-" if im_part < 0 else "+"
-        im_mag = abs(im_part)
-        im_text = "i" if im_mag == 1 else f"{_format_float(im_mag)}*i"
-        body = f"({_format_float(re_part)}{im_sign}{im_text})"
-    return sign, f"{body}*{mono}" if mono else body
-
-
-def format_polynomial(poly: Polynomial, names: tuple) -> str:
-    if not poly.terms:
-        return "0"
-    # highest total degree first, then a fixed exponent order for stability
-    keys = sorted(poly.terms, key=lambda e: (-sum(e), tuple(-v for v in e)))
-    pieces = []
-    for k, exps in enumerate(keys):
-        sign, body = _format_term(poly.terms[exps], exps, names)
-        if k == 0:
-            pieces.append(body if sign == "+" else f"-{body}")
-        else:
-            pieces.append(f" {sign} {body}")
-    return "".join(pieces)
-
-
-def format_system(system: PolynomialSystem) -> str:
-    lines = [str(system.n_vars), " ".join(system.var_names)]
-    for p in system.polys:
-        lines.append(format_polynomial(p, system.var_names) + ";")
-    return "\n".join(lines) + "\n"

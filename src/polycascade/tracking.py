@@ -1,8 +1,9 @@
 """Predictor-corrector tracking of homotopy paths from s=1 to s=0.
 
 A homotopy object supplies value(point, s), jacobian(point, s),
-s_derivative(point, s), a dim attribute, and target_residual(point) for the
-s=0 system.  The tracker runs Euler prediction with Newton correction and an
+s_derivative(point, s) and target_residual(point) for the s=0 system.  The
+tracker reads nothing else: what the coordinates of an endpoint mean is the
+caller's business.  It runs Euler prediction with Newton correction and an
 adaptive step capped relative to the remaining distance, so the approach to
 s=0 is geometric and the late path history spans several decades of s.  At
 the endgame boundary a path is either flagged as escaping to infinity (its
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -32,15 +33,34 @@ _GROWTH_SLOPE = -0.2
 _GROWTH_NORM_FLOOR = 10.0
 
 
-def require_finite(config) -> None:
-    """Refuse non-finite float settings: NaN fails every range comparison."""
-    for f in fields(config):
-        if f.type in (float, "float") and not math.isfinite(getattr(config, f.name)):
-            raise ValueError(f"{f.name} must be finite")
+class _Settings:
+    """Dict round trip and field checks shared by the config dataclasses."""
+
+    def _check_types(self) -> None:
+        """int fields take an int, float fields a finite int or float; no bool."""
+        for f in fields(self):
+            kind = {"int": int, "float": (int, float)}.get(getattr(f.type, "__name__", f.type))
+            value = getattr(self, f.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise TypeError(f"{f.name} must be {f.type}, not {type(value).__name__}")
+            if isinstance(value, float) and not math.isfinite(value):
+                # NaN fails every range comparison
+                raise ValueError(f"{f.name} must be finite")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            kind = cls.__name__.removesuffix("Config").lower()
+            raise ValueError(f"unknown {kind} settings: {sorted(unknown)}")
+        return cls(**data)
 
 
 @dataclass
-class TrackerConfig:
+class TrackerConfig(_Settings):
     """Step-control and tolerance knobs for path tracking."""
 
     newton_tol: float = 1e-10
@@ -55,7 +75,7 @@ class TrackerConfig:
     endpoint_refine_iters: int = 10
 
     def __post_init__(self):
-        require_finite(self)
+        self._check_types()
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
         if self.max_newton_iters < 1:
@@ -73,17 +93,6 @@ class TrackerConfig:
         if self.endpoint_refine_iters < 0:
             raise ValueError("endpoint_refine_iters must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrackerConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown tracker settings: {sorted(unknown)}")
-        return cls(**data)
-
 
 class PathStatus(str, Enum):
     CONVERGED = "converged"
@@ -99,7 +108,6 @@ class PathResult:
     status: PathStatus
     residual: float
     condition: float
-    slack_norm: float
     steps_taken: int
     t_reached: float
     start_index: int = -1
@@ -235,13 +243,6 @@ def _looks_divergent(history: list, norm_end: float, config: TrackerConfig) -> b
     return slope is not None and slope <= _GROWTH_SLOPE
 
 
-def _slack_norm(homotopy, point: np.ndarray) -> float:
-    slack = getattr(homotopy, "slack_count", 0)
-    if not slack:
-        return 0.0
-    return float(np.max(np.abs(point[-slack:])))
-
-
 def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
                start_index: int = -1) -> PathResult:
     """Track one path of the homotopy from s=1 down to its endpoint."""
@@ -254,25 +255,19 @@ def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
     x_prev = None
     s_prev = None
 
-    def finish_diverged(at_x, at_s):
-        return PathResult(endpoint=at_x, status=PathStatus.DIVERGED,
-                          residual=math.inf, condition=math.inf,
-                          slack_norm=_slack_norm(homotopy, at_x),
-                          steps_taken=steps_taken, t_reached=at_s,
-                          start_index=start_index, newton_iters=newton_total)
+    def finish(status, at_x, at_s, residual=math.inf, condition=math.inf):
+        return PathResult(endpoint=at_x, status=status, residual=residual,
+                          condition=condition, steps_taken=steps_taken,
+                          t_reached=at_s, start_index=start_index,
+                          newton_iters=newton_total)
 
-    def finish_failed(at_x, at_s):
+    def failed(at_x, at_s):
         try:
             residual = homotopy.target_residual(at_x)
-        except (ArithmeticError, FloatingPointError):
+        except ArithmeticError:
             residual = math.inf
-        if not math.isfinite(residual):
-            residual = math.inf
-        return PathResult(endpoint=at_x, status=PathStatus.FAILED,
-                          residual=residual, condition=math.inf,
-                          slack_norm=_slack_norm(homotopy, at_x),
-                          steps_taken=steps_taken, t_reached=at_s,
-                          start_index=start_index, newton_iters=newton_total)
+        return finish(PathStatus.FAILED, at_x, at_s,
+                      residual if math.isfinite(residual) else math.inf)
 
     def attempt_landing(at_x, at_s):
         # polish against the s=0 system; endpoints of singular paths stall
@@ -285,24 +280,17 @@ def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
         drift = float(np.max(np.abs(x_ref - at_x)))
         if drift > 0.25 * (1.0 + float(np.max(np.abs(at_x)))):
             # refinement jumped basins; keep the tracked point, unresolved
-            return finish_failed(at_x, at_s)
+            return failed(at_x, at_s)
         scale = max(1.0, float(np.max(np.abs(x_ref))))
         if residual <= 10.0 * config.newton_tol * scale:
-            return PathResult(endpoint=x_ref, status=PathStatus.CONVERGED,
-                              residual=residual, condition=condition,
-                              slack_norm=_slack_norm(homotopy, x_ref),
-                              steps_taken=steps_taken, t_reached=0.0,
-                              start_index=start_index, newton_iters=newton_total)
-        result = finish_failed(x_ref, at_s)
-        result.residual = residual
-        result.condition = condition
-        return result
+            return finish(PathStatus.CONVERGED, x_ref, 0.0, residual, condition)
+        return finish(PathStatus.FAILED, x_ref, at_s, residual, condition)
 
     attempts = 0
     while s > config.t_endgame:
         attempts += 1
         if attempts > _MAX_ATTEMPTS:
-            return finish_failed(x, s)
+            return failed(x, s)
         # never step past the endgame boundary; approach it geometrically
         h = min(step, 0.9 * s)
         s_new = s - h
@@ -322,13 +310,13 @@ def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
         if np.all(np.isfinite(x_pred)):
             pred_norm = float(np.max(np.abs(x_pred)))
             if pred_norm > config.divergence_threshold:
-                return finish_diverged(x_pred, s_new)
+                return finish(PathStatus.DIVERGED, x_pred, s_new)
             x_new, iters, converged = newton_correct(homotopy, x_pred, s_new, config)
             newton_total += iters
             if converged:
                 norm = float(np.max(np.abs(x_new)))
                 if norm > config.divergence_threshold:
-                    return finish_diverged(x_new, s_new)
+                    return finish(PathStatus.DIVERGED, x_new, s_new)
                 x_prev, s_prev = x, s
                 x, s = x_new, s_new
                 steps_taken += 1
@@ -343,12 +331,12 @@ def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
                 norm = float(np.max(np.abs(x)))
                 growing = len(history) >= 2 and history[-1][1] > history[-2][1]
                 if _looks_divergent(history, norm, config) or (norm > 1e6 and growing):
-                    return finish_diverged(x, s)
+                    return finish(PathStatus.DIVERGED, x, s)
                 return attempt_landing(x, s)
 
     # endgame: identify escapes before trying to land on the target system
     if _looks_divergent(history, float(np.max(np.abs(x))), config):
-        return finish_diverged(x, s)
+        return finish(PathStatus.DIVERGED, x, s)
     return attempt_landing(x, s)
 
 

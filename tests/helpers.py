@@ -21,6 +21,22 @@ def naive_poly_eval(poly: Polynomial, x) -> complex:
     return total
 
 
+def system_text(system: PolynomialSystem) -> str:
+    """The system in the parse_system format, every term as (re + im*i)*monomial.
+
+    repr() of a float parses back to the same float, so the text reads back
+    as an equal system.
+    """
+    lines = [str(system.n_vars), " ".join(system.var_names)]
+    for p in system.polys:
+        terms = []
+        for exps, c in p.terms.items():
+            powers = [f"{name}^{e}" for name, e in zip(system.var_names, exps) if e]
+            terms.append("*".join([f"({c.real!r} + {c.imag!r}*i)"] + powers))
+        lines.append(" + ".join(terms) + ";")
+    return "\n".join(lines) + "\n"
+
+
 def fd_jacobian(func, x, h: float = 1e-7) -> np.ndarray:
     """Central finite differences along the real axis.
 

@@ -25,11 +25,12 @@ LINEAR = "2\n*\n2*x1 + 3*x2 - 1;\nx1 - x2 + 1;\n"
 
 def _result(status=PathStatus.CONVERGED, slack=0.0, residual=1e-14,
             condition=10.0, endpoint=None):
+    # (x1, x2, z1, z2): the slacks of a level-1 or level-2 endpoint are its
+    # last coordinates, and slack sets the largest of them
     if endpoint is None:
-        endpoint = np.zeros(3, dtype=np.complex128)
+        endpoint = np.array([0.3, -0.2, 0.0, slack], dtype=np.complex128)
     return PathResult(endpoint=endpoint, status=status, residual=residual,
-                      condition=condition, slack_norm=slack, steps_taken=5,
-                      t_reached=0.0)
+                      condition=condition, steps_taken=5, t_reached=0.0)
 
 
 class TestClassification:
@@ -215,7 +216,7 @@ def test_top_embedding_has_no_vanishing_slack(data):
                           cfg.tracker)
     for r in results:
         if r.status == PathStatus.CONVERGED:
-            assert r.slack_norm > cfg.tol_z
+            assert np.max(np.abs(r.endpoint[n:])) > cfg.tol_z
 
 
 @settings(max_examples=100)
@@ -249,6 +250,8 @@ def test_config_validation_and_round_trip():
         CascadeConfig(threads=0)
     with pytest.raises(ValueError):
         CascadeConfig(seed=-1)
+    with pytest.raises(TypeError):
+        CascadeConfig(seed=1.5)
     with pytest.raises(ValueError):
         CascadeConfig.from_dict({"seed": 0, "mystery": True})
     cfg = CascadeConfig(seed=5, tol_z=1e-9)

@@ -159,8 +159,20 @@ def _short_lambda_row(report):
     return report
 
 
+def _doctored_slice(report):
+    # the witness file is written from these slices; verify reads parameters
+    report["witness_sets"][0]["slices"][0]["constant"] = [5, 5]
+    return report
+
+
+def _negative_level(report):
+    # with n = 2, slices[:-1] would pass for the single slice of dim 1
+    report["witness_sets"][0]["level"] = -1
+    return report
+
+
 @pytest.mark.parametrize("corrupt", [_as_list, _text_tolerance, _short_coordinate,
-                                     _short_lambda_row])
+                                     _short_lambda_row, _doctored_slice, _negative_level])
 def test_verify_malformed_report_exit_2(worked_file, tmp_path, capsys, corrupt):
     report_path = tmp_path / "run.json"
     assert main(["cascade", worked_file, "--seed", "1",
@@ -197,6 +209,16 @@ def test_non_square_exit_3(tmp_path, capsys):
     assert "not square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "cascade"])
+@pytest.mark.parametrize("text", ["1e400*x1 - 1;", "1e200*1e200*x1 - 1;"])
+def test_non_finite_coefficient_exit_2(tmp_path, capsys, command, text):
+    f = tmp_path / "huge.sys"
+    f.write_text(f"1\n*\n{text}\n")
+    assert main([command, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "not finite" in err
+
+
 def test_zero_polynomial_exit_2(tmp_path, capsys):
     f = tmp_path / "zero.sys"
     f.write_text("2\n*\nx1 - x1;\nx2;\n")
@@ -214,6 +236,11 @@ def test_bad_config_exit_4(worked_file, linear_file, tmp_path, capsys):
     for tracker in ("5", "[]"):
         cfgfile.write_text('{"tracker": %s}' % tracker)
         assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4
+    # int fields take int, float fields int or float; bool is neither
+    for setting in ('{"tracker": {"max_newton_iters": 2.5}}', '{"seed": 1.5}',
+                    '{"threads": 2.5}', '{"residual_tol": true}', '{"seed": true}'):
+        cfgfile.write_text(setting)
+        assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4, setting
     # NaN fails every range comparison, so it needs its own rejection
     assert main(["cascade", worked_file, "--seed", "1", "--tol-z", "nan"]) == 4
     assert main(["solve", linear_file, "--newton-tol", "nan"]) == 4
@@ -245,6 +272,15 @@ def test_flag_overrides_config_file(linear_file, tmp_path, capsys):
     assert code == 0
     assert report["config"]["seed"] == 4  # flag wins
     assert report["config"]["tol_z"] == 1e-7  # file setting survives
+
+
+def test_config_file_seed_applies_without_flag(linear_file, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"seed": 3}')
+    code = main(["solve", linear_file, "--config", str(cfgfile), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["seed"] == 3 and report["config"]["seed"] == 3
 
 
 def test_newton_tol_flag_reaches_tracker(linear_file, capsys):
