@@ -1,10 +1,16 @@
 """Slack-variable embeddings and the homotopies between them.
 
-Level i embeds a square system f in n variables into n+i equations and
-variables x, z_1..z_i:
+Level i embeds a square system f in n variables into the polynomial system
+E_i of n+i equations in the variables x, z_1..z_i:
 
     rows 1..n:    f_k(x) + sum_j lambda_eff[k, j] * z_j
     rows n+1..n+i: L_eff_j(x) + z_j
+
+E_i is written out as polynomials and compiled into the same monomial
+tables as any parsed system, so one evaluator serves f and every
+embedding.  The level-i cascade homotopy is E_i - (1 - s) * D, where D is
+the affine part of E_i made of the z_i terms of the top rows and L_eff_i:
+at s = 0 what is left is E_{i-1} with the extra row z_i.
 
 The random multipliers and hyperplanes are drawn once per run and the
 unit-modulus accessory constant eta is multiplied into all of them up front
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import RandomSource
-from .polynomials import DimensionMismatchError, PolynomialSystem
+from .polynomials import DimensionMismatchError, Polynomial, PolynomialSystem
 from .start_systems import StartSystem
 
 
@@ -89,7 +95,7 @@ def sample_parameters(n: int, rng: RandomSource) -> ParameterSample:
 
 
 class EmbeddedSystem:
-    """f embedded with level slack variables; level 0 is f itself."""
+    """E_i as one compiled PolynomialSystem in x, z_1..z_i; level 0 is f itself."""
 
     def __init__(self, base: PolynomialSystem, params: ParameterSample | None, level: int):
         if not 0 <= level <= base.n_vars:
@@ -99,57 +105,35 @@ class EmbeddedSystem:
             raise ValueError("positive embedding levels need a parameter sample")
         if not base.is_square():
             raise ValueError("only square systems can be embedded")
-        self.base = base
-        self.params = params
+        n = base.n_vars
         self.level = level
-        if level > 0:
-            # the Jacobian's constant blocks: multipliers, slices, identity
-            n = base.n_vars
-            self._jac = np.zeros((n + level, n + level), dtype=np.complex128)
-            self._jac[:n, n:] = params.eff_lambda[:, :level]
-            self._jac[n:, :n] = params.eff_coefficients[:level]
-            self._jac[n:, n:] = np.eye(level)
+        self.dim = n + level
 
-    @property
-    def n(self) -> int:
-        return self.base.n_vars
+        def unit(v: int) -> tuple:
+            return tuple(int(k == v) for k in range(self.dim))
 
-    @property
-    def dim(self) -> int:
-        return self.n + self.level
+        pad = (0,) * level
+        rows = []
+        for k, f_k in enumerate(base.polys):
+            terms = {e + pad: c for e, c in f_k.terms.items()}
+            terms.update((unit(n + j), params.eff_lambda[k, j]) for j in range(level))
+            rows.append(Polynomial(self.dim, terms))
+        for j in range(level):
+            terms = {unit(v): params.eff_coefficients[j, v] for v in range(n)}
+            terms[(0,) * self.dim] = params.eff_constants[j]
+            terms[unit(n + j)] = 1.0
+            rows.append(Polynomial(self.dim, terms))
+        self._system = PolynomialSystem(
+            rows, base.var_names + tuple(f"z{j + 1}" for j in range(level)))
 
     def degrees(self) -> tuple[int, ...]:
-        base = self.base.degrees()
-        if self.level == 0:
-            return base
-        # the slack terms make every top row at least linear
-        return tuple(max(d, 1) for d in base) + (1,) * self.level
-
-    def _split(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        point = np.asarray(point, dtype=np.complex128)
-        if point.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"expected point of length {self.dim}, got shape {point.shape}")
-        return point[:self.n], point[self.n:]
+        return self._system.degrees()
 
     def evaluate(self, point: np.ndarray) -> np.ndarray:
-        x, z = self._split(point)
-        top = self.base.evaluate(x)
-        if self.level == 0:
-            return top
-        p = self.params
-        top = top + p.eff_lambda[:, :self.level] @ z
-        slices = p.slice_value(self.level, x) + z
-        return np.concatenate([top, slices])
+        return self._system.evaluate(point)
 
     def jacobian(self, point: np.ndarray) -> np.ndarray:
-        x, _ = self._split(point)
-        jf = self.base.jacobian(x)
-        if self.level == 0:
-            return jf
-        out = self._jac.copy()
-        out[:self.n, :self.n] = jf
-        return out
+        return self._system.jacobian(point)
 
 
 def embed(base: PolynomialSystem, params: ParameterSample | None, level: int) -> EmbeddedSystem:
@@ -157,61 +141,44 @@ def embed(base: PolynomialSystem, params: ParameterSample | None, level: int) ->
 
 
 class CascadeHomotopy:
-    """Level transition i -> i-1: deforms the embedded system downward.
+    """Level transition i -> i-1: H(p, s) = E_i(p) - (1 - s) * D(p).
 
-    value(point, 1) equals the level-i embedded system; value(point, 0)
-    equals the level-(i-1) system on the first n+i-1 rows with z_i alone on
-    the last row, so nonsingular level-i endpoints with z_i tracked to zero
-    land on level-(i-1) solutions.
+    D(p) = M p + c is the affine part of E_i that s switches off: M holds
+    lambda_eff[:, i-1] (the z_i column of the top n rows) and the
+    coefficients of L_eff_i (the x part of the last row), and c holds the
+    constant of L_eff_i in the last entry.  value(point, 1) is E_i;
+    value(point, 0) is the level-(i-1) system on the first n+i-1 rows with
+    z_i alone on the last row, so nonsingular level-i endpoints with z_i
+    tracked to zero land on level-(i-1) solutions.
     """
 
     def __init__(self, base: PolynomialSystem, params: ParameterSample, level: int):
         if not 1 <= level <= base.n_vars:
             raise LevelOutOfRangeError(
                 f"cascade homotopy level {level} out of range for {base.n_vars} variables")
-        self.base = base
-        self.params = params
+        n = base.n_vars
         self.level = level
-        self.n = base.n_vars
-        self.dim = self.n + level
+        self.dim = n + level
         self._upper = EmbeddedSystem(base, params, level)
         self._lower = EmbeddedSystem(base, params, level - 1)
+        self._m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        self._m[:n, -1] = params.eff_lambda[:, level - 1]
+        self._m[-1, :n] = params.eff_coefficients[level - 1]
+        self._c = np.zeros(self.dim, dtype=np.complex128)
+        self._c[-1] = params.eff_constants[level - 1]
 
     def value(self, point: np.ndarray, s: float) -> np.ndarray:
-        # the endpoint systems are evaluated through the same code path as
-        # the embeddings themselves so the identities hold bit for bit
-        if s == 1.0:
-            return self._upper.evaluate(point)
         if s == 0.0:
-            x, z = self._upper._split(point)
-            return np.concatenate([self._lower.evaluate(point[:-1]), [z[-1]]])
-        x, z = self._upper._split(point)
-        i = self.level
-        p = self.params
-        zmod = z.copy()
-        zmod[i - 1] *= s
-        top = self.base.evaluate(x) + p.eff_lambda[:, :i] @ zmod
-        slices = p.slice_value(i, x)
-        mids = slices[:i - 1] + z[:i - 1]
-        last = s * slices[i - 1] + z[i - 1]
-        return np.concatenate([top, mids, [last]])
+            # the target goes through the level-(i-1) embedding itself, so
+            # it equals that system bit for bit
+            return np.concatenate([self._lower.evaluate(point[:-1]), point[-1:]])
+        return self._upper.evaluate(point) - (1.0 - s) * (self._m @ point + self._c)
 
     def jacobian(self, point: np.ndarray, s: float) -> np.ndarray:
-        x, _ = self._upper._split(point)
-        out = self._upper._jac.copy()
-        out[:self.n, :self.n] = self.base.jacobian(x)
-        out[:self.n, -1] *= s
-        out[-1, :self.n] *= s
-        return out
+        return self._upper.jacobian(point) - (1.0 - s) * self._m
 
     def s_derivative(self, point: np.ndarray, s: float) -> np.ndarray:
-        x, z = self._upper._split(point)
-        i = self.level
-        p = self.params
-        out = np.zeros(self.dim, dtype=np.complex128)
-        out[:self.n] = p.eff_lambda[:, i - 1] * z[i - 1]
-        out[self.dim - 1] = p.slice_value(i, x)[i - 1]
-        return out
+        return self._m @ point + self._c
 
     def target_residual(self, point: np.ndarray) -> float:
         return float(np.max(np.abs(self.value(point, 0.0))))

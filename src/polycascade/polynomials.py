@@ -142,11 +142,11 @@ class Polynomial:
         return Polynomial(self.n_vars, out)
 
     def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if other.n_vars != self.n_vars:
-                raise ValueError("mixing polynomials with different variable counts")
-            return other
-        return Polynomial.constant(self.n_vars, complex(other))
+        if not isinstance(other, Polynomial):
+            raise TypeError(f"cannot combine a polynomial with {type(other).__name__}")
+        if other.n_vars != self.n_vars:
+            raise ValueError("mixing polynomials with different variable counts")
+        return other
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -155,21 +155,13 @@ class Polynomial:
             out[exps] = out.get(exps, 0j) + coeff
         return Polynomial(self.n_vars, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.n_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            c = complex(other)
-            return Polynomial(self.n_vars, {e: v * c for e, v in self.terms.items()})
         other = self._coerce(other)
         out: dict[tuple, complex] = {}
         for ea, ca in self.terms.items():
@@ -177,8 +169,6 @@ class Polynomial:
                 key = tuple(a + b for a, b in zip(ea, eb))
                 out[key] = out.get(key, 0j) + ca * cb
         return Polynomial(self.n_vars, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:

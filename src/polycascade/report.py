@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -46,15 +47,6 @@ def _point2j(p) -> dict:
     }
 
 
-def _stats2j(s) -> dict:
-    return {
-        "level": int(s.level), "n_paths": int(s.n_paths),
-        "on_component": int(s.on_component), "regular": int(s.regular),
-        "diverged": int(s.diverged), "unresolved": int(s.unresolved),
-        "wall_ms": float(s.wall_ms),
-    }
-
-
 def source_digest(source: str) -> str:
     return "sha256:" + hashlib.sha256(source.encode("utf-8")).hexdigest()
 
@@ -88,7 +80,7 @@ def build_cascade_report(output: CascadeOutput, source: str,
                             for c, a in zip(params.constants, params.coefficients)],
             "lambda": [_vec2j(row) for row in params.lambda_matrix],
         },
-        "levels": [_stats2j(s) for s in output.stats],
+        "levels": [asdict(s) for s in output.stats],
         "witness_sets": witness_sets,
         "isolated_solutions": [_point2j(p) for p in output.isolated_solutions],
         "unresolved_level0": [_point2j(p) for p in output.unresolved_level0],
@@ -107,7 +99,7 @@ def build_solve_report(output: SolveOutput, source: str,
         "config": cfg.to_dict(),
         "gamma": _c2j(output.gamma),
         "start_constants": _vec2j(output.start_constants),
-        "levels": [_stats2j(output.stats)],
+        "levels": [asdict(output.stats)],
         "isolated_solutions": [_point2j(p) for p in output.solutions],
         "unresolved_level0": [_point2j(p) for p in output.unresolved],
         "total_paths": int(output.total_paths),

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own evaluation paths:
 naive_poly_eval uses Python complex arithmetic term by term, fd_jacobian
-differentiates numerically.
+differentiates numerically, and the embedding references assemble E_i and
+the cascade homotopy block by block from f's own values and Jacobian, the
+multipliers and the slices, rather than from a compiled embedding.
 """
 
 import numpy as np
@@ -35,6 +37,41 @@ def system_text(system: PolynomialSystem) -> str:
             terms.append("*".join([f"({c.real!r} + {c.imag!r}*i)"] + powers))
         lines.append(" + ".join(terms) + ";")
     return "\n".join(lines) + "\n"
+
+
+def reference_embedding(base: PolynomialSystem, params, level: int, point):
+    """(value, Jacobian) of the level-level embedding E_i by its blocks."""
+    n = base.n_vars
+    x, z = point[:n], point[n:]
+    value = np.concatenate([base.evaluate(x) + params.eff_lambda[:, :level] @ z,
+                            params.slice_value(level, x) + z])
+    jac = np.zeros((n + level, n + level), dtype=np.complex128)
+    jac[:n, :n] = base.jacobian(x)
+    jac[:n, n:] = params.eff_lambda[:, :level]
+    jac[n:, :n] = params.eff_coefficients[:level]
+    jac[n:, n:] = np.eye(level)
+    return value, jac
+
+
+def reference_cascade(base: PolynomialSystem, params, level: int, point, s: float):
+    """(value, Jacobian, s-derivative) of the level-level cascade homotopy.
+
+    s scales z_level in the top rows and L_eff_level in the last row.
+    """
+    n, i = base.n_vars, level
+    x, z = point[:n], point[n:]
+    zmod = z.copy()
+    zmod[i - 1] *= s
+    slices = params.slice_value(i, x)
+    value = np.concatenate([base.evaluate(x) + params.eff_lambda[:, :i] @ zmod,
+                            slices[:i - 1] + z[:i - 1], [s * slices[i - 1] + z[i - 1]]])
+    _, jac = reference_embedding(base, params, level, point)
+    jac[:n, -1] *= s
+    jac[-1, :n] *= s
+    ds = np.zeros(n + i, dtype=np.complex128)
+    ds[:n] = params.eff_lambda[:, i - 1] * z[i - 1]
+    ds[-1] = slices[i - 1]
+    return value, jac, ds
 
 
 def fd_jacobian(func, x, h: float = 1e-7) -> np.ndarray:

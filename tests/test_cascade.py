@@ -259,12 +259,30 @@ def test_config_validation_and_round_trip():
     assert again.to_dict() == cfg.to_dict()
 
 
+def _rows(out):
+    return [(s.level, s.n_paths, s.on_component, s.regular, s.diverged, s.unresolved)
+            for s in out.stats]
+
+
 def test_single_variable_system():
     f = parse_system("1\n*\nx1^2 - 1;\n")
-    out = run_cascade(f, CascadeConfig(seed=2))
-    assert out.top_dimension == 0
-    assert out.supersets == []
-    assert len(out.isolated_solutions) == 2
-    roots = sorted(complex(p.x[0]).real for p in out.isolated_solutions)
-    assert roots[0] == pytest.approx(-1.0, abs=1e-9)
-    assert roots[1] == pytest.approx(1.0, abs=1e-9)
+    for seed in (1, 2, 3):
+        out = run_cascade(f, CascadeConfig(seed=seed))
+        assert out.top_dimension == 0
+        assert out.supersets == []
+        assert _rows(out) == [(0, 2, 0, 2, 0, 0)]
+        assert len(out.isolated_solutions) == 2
+        roots = sorted(complex(p.x[0]).real for p in out.isolated_solutions)
+        assert roots[0] == pytest.approx(-1.0, abs=1e-9)
+        assert roots[1] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_constant_equation_has_no_solutions(seed):
+    # x1 - 1 = 0 with 3 = 0 has no solution: the one level-1 path is
+    # recycled and diverges at level 0
+    out = run_cascade(parse_system("2\n*\nx1 - 1;\n3;\n"), CascadeConfig(seed=seed))
+    assert _rows(out) == [(1, 1, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0)]
+    assert [ws.points for ws in out.supersets] == [[]]
+    assert out.isolated_solutions == [] and out.unresolved_level0 == []
+    assert out.top_dimension is None

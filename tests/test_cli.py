@@ -219,6 +219,22 @@ def test_non_finite_coefficient_exit_2(tmp_path, capsys, command, text):
     assert "parse error" in err and "not finite" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "cascade", "verify"])
+def test_non_utf8_input_exit_2(worked_file, tmp_path, capsys, command):
+    binary = tmp_path / "bin.sys"
+    binary.write_bytes(b"\xff\xfe2\n*\nx1;\nx2;\n")
+    argv = [command, str(binary)]
+    if command == "verify":
+        report = tmp_path / "run.json"
+        assert main(["cascade", worked_file, "--seed", "1", "--report", str(report),
+                     "--witness", str(tmp_path / "run.witness")]) == 0
+        argv = ["verify", str(report), "--against", str(binary)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "can't decode" in err
+
+
 def test_zero_polynomial_exit_2(tmp_path, capsys):
     f = tmp_path / "zero.sys"
     f.write_text("2\n*\nx1 - x1;\nx2;\n")

@@ -11,7 +11,8 @@ from polycascade.linalg import RandomSource
 from polycascade.polynomials import parse_system
 from polycascade.start_systems import build_start_system
 
-from helpers import fd_jacobian, points_st, systems_st
+from helpers import (fd_jacobian, points_st, reference_cascade,
+                     reference_embedding, systems_st)
 
 WORKED = "2\n*\nx1^2*x2;\nx1^2*(x2^2 + x1);\n"
 
@@ -109,6 +110,33 @@ def test_cascade_homotopy_is_convex_combination(data):
     got = h.value(point, s)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_compiled_embedding_matches_block_formulas(data):
+    system = data.draw(systems_st(max_degree=2, max_terms=3))
+    n = system.n_vars
+    level = data.draw(st.integers(0, n))
+    params = _params(n, data.draw(st.integers(0, 2**32 - 1)))
+    point = data.draw(points_st(n + level))
+    value, jac = reference_embedding(system, params, level, point)
+    embedded = embed(system, params, level)
+    _assert_close(embedded.evaluate(point), value)
+    _assert_close(embedded.jacobian(point), jac)
+    if level == 0:
+        return
+    s = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+    value, jac, ds = reference_cascade(system, params, level, point, s)
+    h = CascadeHomotopy(system, params, level)
+    _assert_close(h.value(point, s), value)
+    _assert_close(h.jacobian(point, s), jac)
+    _assert_close(h.s_derivative(point, s), ds)
 
 
 def test_cascade_homotopy_jacobian_and_s_derivative():

@@ -223,3 +223,13 @@ def test_arithmetic_matches_naive(data):
     want = naive_poly_eval(a, x) * naive_poly_eval(b, x) + naive_poly_eval(a, x)
     got = PolynomialSystem([a * b + a]).evaluate(x)[0]
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_scalar_operand_is_type_error():
+    # the parser combines only polynomials; a constant must be one too
+    p = Polynomial.variable(2, 0)
+    for combine in (lambda: p + 1, lambda: 1 + p, lambda: p - 1.0, lambda: 1.0 - p,
+                    lambda: p * 2j, lambda: 2j * p):
+        with pytest.raises(TypeError):
+            combine()
+    assert p * Polynomial.constant(2, 2j) == Polynomial(2, {(1, 0): 2j})
