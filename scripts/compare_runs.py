@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Compare same-seed CLI runs of this checkout against another checkout.
+
+    git archive <parent> | tar -x -C /tmp/parent
+    python3 scripts/compare_runs.py /tmp/parent
+
+Runs a fixed set of 24 commands through ``python -m polycascade.cli`` in
+both checkouts, on the same input files: worked_example, lines2 and
+sphere_point under ``solve`` and ``cascade``, plus cyclic-4 and the unit
+sphere written three times under ``cascade``, each at seeds 1-3.  For every
+run it prints whether the census, the report and the witness file agree.
+
+The census is the per-level class counts, the witness multiplicities and
+filtered counts, the isolated and unresolved counts, the top dimension and
+the total path count.  Reports are compared after ``strip_timing_fields``,
+with non-finite numbers written as null.  Exits 1 if any census differs.
+"""
+
+import argparse
+import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from polycascade.report import canonical_dumps, strip_timing_fields  # noqa: E402
+
+THREE_SPHERES = ("3\n*\nx1^2 + x2^2 + x3^2 - 1;\n"
+                 "2*x1^2 + 2*x2^2 + 2*x3^2 - 2;\n"
+                 "3*x1^2 + 3*x2^2 + 3*x3^2 - 3;\n")
+SEEDS = (1, 2, 3)
+
+
+def run_set(inputs: dict) -> list:
+    """(label, command, input path, seed) for every run of the set."""
+    runs = []
+    for name in ("worked_example", "lines2", "sphere_point"):
+        for command in ("solve", "cascade"):
+            runs += [(f"{name} {command} seed {s}", command, inputs[name], s) for s in SEEDS]
+    for name in ("cyclic4", "three_spheres"):
+        runs += [(f"{name} cascade seed {s}", "cascade", inputs[name], s) for s in SEEDS]
+    return runs
+
+
+def run_cli(checkout: pathlib.Path, command: str, source: str, seed: int,
+            out: pathlib.Path) -> tuple:
+    """Run one command in a checkout; returns (report, witness text or None)."""
+    report, witness = out / "report.json", out / "run.witness"
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    argv = [sys.executable, "-m", "polycascade.cli", command, source,
+            "--seed", str(seed), "--report", str(report)]
+    if command == "cascade":
+        argv += ["--witness", str(witness)]
+    subprocess.run(argv, cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL)
+    with open(report, "r", encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    return loaded, witness.read_text(encoding="utf-8") if command == "cascade" else None
+
+
+def census(report: dict) -> dict:
+    return {
+        "levels": [(r["level"], r["n_paths"], r["on_component"], r["regular"],
+                    r["diverged"], r["unresolved"]) for r in report["levels"]],
+        "witness": [(ws["level"], [p["multiplicity"] for p in ws["points"]],
+                     ws["filtered_out"]) for ws in report.get("witness_sets", [])],
+        "isolated": len(report["isolated_solutions"]),
+        "unresolved": len(report["unresolved_level0"]),
+        "top_dimension": report.get("top_dimension"),
+        "total_paths": report["total_paths"],
+    }
+
+
+def _non_finite_as_null(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _non_finite_as_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_non_finite_as_null(v) for v in value]
+    return value
+
+
+def report_bytes(report: dict) -> str:
+    return canonical_dumps(_non_finite_as_null(strip_timing_fields(report)))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent_dir", type=pathlib.Path, help="checkout to compare against")
+    args = ap.parse_args()
+    parent = args.parent_dir.resolve()
+
+    census_diffs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        (tmp / "three_spheres.sys").write_text(THREE_SPHERES, encoding="utf-8")
+        inputs = {name: str(ROOT / "systems" / f"{name}.sys")
+                  for name in ("worked_example", "lines2", "cyclic4")}
+        inputs["sphere_point"] = str(ROOT / "perfbench" / "inputs" / "sphere_point.sys")
+        inputs["three_spheres"] = str(tmp / "three_spheres.sys")
+        for side in ("parent", "child"):
+            (tmp / side).mkdir()
+        for label, command, source, seed in run_set(inputs):
+            old = run_cli(parent, command, source, seed, tmp / "parent")
+            new = run_cli(ROOT, command, source, seed, tmp / "child")
+            same_census = census(old[0]) == census(new[0])
+            census_diffs += not same_census
+            cells = [f"census {'same' if same_census else 'DIFFERS'}",
+                     f"report {'same' if report_bytes(old[0]) == report_bytes(new[0]) else 'differs'}"]
+            if command == "cascade":
+                cells.append(f"witness {'same' if old[1] == new[1] else 'differs'}")
+            print(f"{label:<32} " + "  ".join(cells), flush=True)
+    print(f"{census_diffs} census difference(s)")
+    return 1 if census_diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

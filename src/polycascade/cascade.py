@@ -207,11 +207,12 @@ def verify_witness(x: np.ndarray, base: PolynomialSystem, params: ParameterSampl
     embedded system from (x, z=0); a genuine witness stays put and keeps all
     residuals below the class tolerance.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    residual = float(np.max(np.abs(base.evaluate(x))))
-    slice_residual = float(np.max(np.abs(params.slice_value(level, x)), initial=0.0))
     embedded = embed(base, params, level)
     point = np.concatenate([x, np.zeros(level, dtype=np.complex128)])
+    # at z = 0 the top rows of E_level are f(x) and its slice rows L(x)
+    value = np.abs(embedded.evaluate(point))
+    residual = float(np.max(value[:base.n_vars]))
+    slice_residual = float(np.max(value[base.n_vars:], initial=0.0))
     refined, _, _, _ = refine_endpoint(embedded.evaluate, embedded.jacobian, point,
                                        cfg.tracker)
     drift = float(np.max(np.abs(refined - point)))

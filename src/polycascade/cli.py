@@ -85,14 +85,9 @@ def _build_config(args) -> CascadeConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         settings.update(loaded)
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.tol_z is not None:
-        settings["tol_z"] = args.tol_z
-    if args.cond_max is not None:
-        settings["cond_max"] = args.cond_max
-    if args.threads is not None:
-        settings["threads"] = args.threads
+    for name in ("seed", "tol_z", "cond_max", "threads"):
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
     if args.newton_tol is not None:
         tracker = dict(settings.get("tracker", {}))
         tracker["newton_tol"] = args.newton_tol
@@ -105,50 +100,32 @@ def _read_source(path: str) -> str:
         return fh.read()
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config_or_exit(args)
-    if cfg is None:
+def cmd_run(args) -> int:
+    """solve or cascade: run, write the report (and the witness file), print."""
+    try:
+        cfg = _build_config(args)
+    except (ValueError, TypeError, OSError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    solve = args.command == "solve"
     source = _read_source(args.input)
     system = parse_system(source)
-    output = solve_total_degree(system, cfg)
-    report = build_solve_report(output, source, cfg)
+    output = (solve_total_degree if solve else run_cascade)(system, cfg)
+    report = (build_solve_report if solve else build_cascade_report)(output, source, cfg)
     if args.report:
         write_report(args.report, report)
+    if not solve:
+        witness_path = args.witness
+        if witness_path is None:
+            witness_path = os.path.splitext(args.input)[0] + ".witness"
+        write_witness_file(witness_path, report)
     if args.format == "json":
         sys.stdout.write(canonical_dumps(report))
-    else:
+    elif solve:
         print(render_solve_listing(report, results=output.results))
-    return EXIT_OK
-
-
-def cmd_cascade(args) -> int:
-    cfg = _load_config_or_exit(args)
-    if cfg is None:
-        return EXIT_CONFIG
-    source = _read_source(args.input)
-    system = parse_system(source)
-    output = run_cascade(system, cfg)
-    report = build_cascade_report(output, source, cfg)
-    if args.report:
-        write_report(args.report, report)
-    witness_path = args.witness
-    if witness_path is None:
-        witness_path = os.path.splitext(args.input)[0] + ".witness"
-    write_witness_file(witness_path, report)
-    if args.format == "json":
-        sys.stdout.write(canonical_dumps(report))
     else:
         print(render_cascade_summary(report))
     return EXIT_OK
-
-
-def _load_config_or_exit(args):
-    try:
-        return _build_config(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return None
 
 
 def _decode_report(report: dict):
@@ -220,8 +197,7 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = {"solve": cmd_solve, "cascade": cmd_cascade,
-               "verify": cmd_verify}[args.command]
+    handler = cmd_verify if args.command == "verify" else cmd_run
     try:
         return handler(args)
     except ParseError as exc:

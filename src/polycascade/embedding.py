@@ -70,12 +70,6 @@ class ParameterSample:
     def n(self) -> int:
         return self.lambda_matrix.shape[0]
 
-    def slice_value(self, level: int, x: np.ndarray) -> np.ndarray:
-        """Effective hyperplane values L_eff_1(x)..L_eff_level(x)."""
-        if level == 0:
-            return np.zeros(0, dtype=np.complex128)
-        return self.eff_constants[:level] + self.eff_coefficients[:level] @ x
-
 
 def sample_parameters(n: int, rng: RandomSource) -> ParameterSample:
     """Draw hyperplanes, multiplier columns, and eta, all unit-modulus."""

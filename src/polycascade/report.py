@@ -1,15 +1,18 @@
 """Run reports: JSON serialization, tables, and witness files.
 
-Reports are plain JSON dicts with complex numbers stored as [re, im] pairs.
-Serialization is canonical (sorted keys, fixed indentation, trailing
-newline) so that dump -> load -> dump is byte-identical and two runs with
-the same seed differ only in the wall_ms timing fields.
+Reports are plain JSON dicts with complex numbers stored as [re, im] pairs
+and a non-finite residual or condition stored as null, so any strict JSON
+parser reads them.  Serialization is canonical (sorted keys, fixed
+indentation, trailing newline) so that dump -> load -> dump is
+byte-identical and two runs with the same seed differ only in the wall_ms
+timing fields.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -38,12 +41,22 @@ def j2vec(pairs) -> np.ndarray:
     return np.array([_j2c(p) for p in pairs], dtype=np.complex128)
 
 
+def _finite_or_null(value) -> float | None:
+    """JSON has no infinity: a non-finite residual or condition is null."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+def _null_as_inf(value) -> float:
+    return math.inf if value is None else value
+
+
 def _point2j(p) -> dict:
     return {
         "coordinates": _vec2j(p.x),
         "multiplicity": int(p.multiplicity),
-        "residual": float(p.residual),
-        "condition": float(p.condition),
+        "residual": _finite_or_null(p.residual),
+        "condition": _finite_or_null(p.condition),
     }
 
 
@@ -107,7 +120,7 @@ def build_solve_report(output: SolveOutput, source: str,
 
 
 def canonical_dumps(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report(path: str, report: dict) -> None:
@@ -167,8 +180,8 @@ def _render_points(points: list, indent: str = "  ") -> list:
     for p in points:
         coords = "  ".join(_fmt_complex(_j2c(c)) for c in p["coordinates"])
         lines.append(f"{indent}{coords}  mult {p['multiplicity']}"
-                     f"  residual {p['residual']:.2e}"
-                     f"  condition {p['condition']:.2e}")
+                     f"  residual {_null_as_inf(p['residual']):.2e}"
+                     f"  condition {_null_as_inf(p['condition']):.2e}")
     return lines
 
 
@@ -241,7 +254,8 @@ def write_witness_file(path: str, report: dict) -> None:
         for p in ws["points"]:
             coords = " ".join(_fmt_complex(_j2c(c), 17) for c in p["coordinates"])
             lines.append(f"{coords} mult {p['multiplicity']} "
-                         f"residual {p['residual']:.16e} condition {p['condition']:.16e}")
+                         f"residual {_null_as_inf(p['residual']):.16e} "
+                         f"condition {_null_as_inf(p['condition']):.16e}")
     if not any_points:
         lines.append("# no witness points")
     with open(path, "w", encoding="utf-8") as fh:

@@ -9,7 +9,8 @@ s=0 is geometric and the late path history spans several decades of s.  At
 the endgame boundary a path is either flagged as escaping to infinity (its
 norm grows like a negative power of s) or polished by Newton iteration at
 s=0 directly, with multiplicity-accelerated steps when the correction ratios
-stall at the linear rate (mu-1)/mu typical of a multiple solution.
+stall at the linear rate (mu-1)/mu typical of a multiple solution.  A path
+whose step underflows ends the same way, from the point it stalled at.
 """
 
 from __future__ import annotations
@@ -177,7 +178,6 @@ def refine_endpoint(value_of, jacobian_of, point: np.ndarray, config: TrackerCon
 
     best_x = x.copy()
     best_res = residual_of(x)
-    factors = None
     ratios: list = []
     prev_norm = None
     iters = 0
@@ -185,7 +185,6 @@ def refine_endpoint(value_of, jacobian_of, point: np.ndarray, config: TrackerCon
         try:
             factors = lu_factor(jacobian_of(x))
         except SingularMatrixError:
-            factors = None
             break
         value = value_of(x)
         delta = lu_solve(factors, -value)
@@ -252,8 +251,6 @@ def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
     steps_taken = 0
     newton_total = 0
     history: list = [(s, float(np.max(np.abs(x))))]
-    x_prev = None
-    s_prev = None
 
     def finish(status, at_x, at_s, residual=math.inf, condition=math.inf):
         return PathResult(endpoint=at_x, status=status, residual=residual,
@@ -301,40 +298,28 @@ def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
         try:
             x_pred = euler_predict(homotopy, x, s, h)
         except SingularMatrixError:
-            if x_prev is not None and s_prev is not None and s_prev > s:
-                x_pred = x + (x - x_prev) * (h / (s_prev - s))
-            else:
-                x_pred = x.copy()
+            # no tangent at a singular point: let the corrector start from x
+            x_pred = x
 
-        accepted = False
         if np.all(np.isfinite(x_pred)):
-            pred_norm = float(np.max(np.abs(x_pred)))
-            if pred_norm > config.divergence_threshold:
+            if float(np.max(np.abs(x_pred))) > config.divergence_threshold:
                 return finish(PathStatus.DIVERGED, x_pred, s_new)
             x_new, iters, converged = newton_correct(homotopy, x_pred, s_new, config)
             newton_total += iters
             if converged:
-                norm = float(np.max(np.abs(x_new)))
-                if norm > config.divergence_threshold:
-                    return finish(PathStatus.DIVERGED, x_new, s_new)
-                x_prev, s_prev = x, s
                 x, s = x_new, s_new
                 steps_taken += 1
-                history.append((s, norm))
+                history.append((s, float(np.max(np.abs(x)))))
                 if iters <= max(1, config.max_newton_iters // 2):
                     step = min(step * config.step_expand, config.step_max)
-                accepted = True
+                continue
 
-        if not accepted:
-            step *= config.step_shrink
-            if step < config.step_min:
-                norm = float(np.max(np.abs(x)))
-                growing = len(history) >= 2 and history[-1][1] > history[-2][1]
-                if _looks_divergent(history, norm, config) or (norm > 1e6 and growing):
-                    return finish(PathStatus.DIVERGED, x, s)
-                return attempt_landing(x, s)
+        step *= config.step_shrink
+        if step < config.step_min:
+            break
 
-    # endgame: identify escapes before trying to land on the target system
+    # endgame or stalled step: identify escapes before trying to land on
+    # the target system
     if _looks_divergent(history, float(np.max(np.abs(x))), config):
         return finish(PathStatus.DIVERGED, x, s)
     return attempt_landing(x, s)

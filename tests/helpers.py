@@ -39,12 +39,17 @@ def system_text(system: PolynomialSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def slice_values(params, level: int, x):
+    """Effective hyperplane values L_eff_1(x)..L_eff_level(x)."""
+    return params.eff_constants[:level] + params.eff_coefficients[:level] @ x
+
+
 def reference_embedding(base: PolynomialSystem, params, level: int, point):
     """(value, Jacobian) of the level-level embedding E_i by its blocks."""
     n = base.n_vars
     x, z = point[:n], point[n:]
     value = np.concatenate([base.evaluate(x) + params.eff_lambda[:, :level] @ z,
-                            params.slice_value(level, x) + z])
+                            slice_values(params, level, x) + z])
     jac = np.zeros((n + level, n + level), dtype=np.complex128)
     jac[:n, :n] = base.jacobian(x)
     jac[:n, n:] = params.eff_lambda[:, :level]
@@ -62,7 +67,7 @@ def reference_cascade(base: PolynomialSystem, params, level: int, point, s: floa
     x, z = point[:n], point[n:]
     zmod = z.copy()
     zmod[i - 1] *= s
-    slices = params.slice_value(i, x)
+    slices = slice_values(params, i, x)
     value = np.concatenate([base.evaluate(x) + params.eff_lambda[:, :i] @ zmod,
                             slices[:i - 1] + z[:i - 1], [s * slices[i - 1] + z[i - 1]]])
     _, jac = reference_embedding(base, params, level, point)

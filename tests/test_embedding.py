@@ -187,12 +187,3 @@ def test_parameter_sample_deterministic_and_unimodular(seed, n):
     assert np.max(np.abs(np.abs(a.lambda_matrix) - 1.0)) < 1e-15
     # effective values are the raw draws scaled once by eta
     assert np.max(np.abs(a.eff_lambda - a.eta * a.lambda_matrix)) == 0.0
-
-
-def test_slice_value_matches_hyperplanes():
-    params = _params(3, seed=6)
-    x = np.array([0.3 + 0.2j, -0.5 + 0.8j, 1.0 - 0.4j])
-    vals = params.slice_value(2, x)
-    for j in range(2):
-        want = params.eta * (params.constants[j] + params.coefficients[j] @ x)
-        assert abs(vals[j] - want) < 1e-15

@@ -1,6 +1,7 @@
 """Report serialization, tables, and witness files."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from polycascade.report import (build_cascade_report, build_solve_report,
                                 write_witness_file)
 
 WORKED = "2\n*\nx1^2*x2;\nx1^2*(x2^2 + x1);\n"
+SPHERE_POINT = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "sphere_point.sys"
 LINEAR = "2\n*\n2*x1 + 3*x2 - 1;\nx1 - x2 + 1;\n"
 
 
@@ -45,6 +47,32 @@ def test_report_is_json_clean(worked_report):
     # every value must survive json round trip without custom encoders
     text = canonical_dumps(worked_report)
     assert json.loads(text) == worked_report
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+@pytest.mark.parametrize("command", ["solve", "cascade"])
+def test_report_with_singular_endpoints_is_strict_json(tmp_path, command):
+    # sphere_point leaves endpoints with infinite condition numbers
+    source = SPHERE_POINT.read_text(encoding="utf-8")
+    cfg = CascadeConfig(seed=1)
+    if command == "solve":
+        report = build_solve_report(solve_total_degree(parse_system(source), cfg),
+                                    source, cfg)
+    else:
+        report = build_cascade_report(run_cascade(parse_system(source), cfg), source, cfg)
+    text = canonical_dumps(report)
+    loaded = json.loads(text, parse_constant=_reject_constant)
+    assert canonical_dumps(loaded) == text
+    points = loaded["isolated_solutions"] + loaded["unresolved_level0"]
+    assert any(p["condition"] is None for p in points)
+    # the human-readable outputs still say inf
+    if command == "cascade":
+        write_witness_file(str(tmp_path / "out.witness"), loaded)
+        assert "condition inf" in (tmp_path / "out.witness").read_text()
+        assert "condition inf" in render_cascade_summary(loaded)
 
 
 def test_digest_matches_sha256(worked_report):

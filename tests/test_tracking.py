@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycascade.embedding import StartHomotopy, embed
-from polycascade.linalg import RandomSource
+from polycascade.linalg import RandomSource, SingularMatrixError
 from polycascade.polynomials import parse_system
 from polycascade.start_systems import build_start_system
 from polycascade.tracking import (PathStatus, TrackerConfig, euler_predict,
@@ -180,6 +180,45 @@ def test_tracking_deterministic(seed):
     assert np.array_equal(a.endpoint, b.endpoint)
     assert a.status == b.status
     assert a.steps_taken == b.steps_taken and a.newton_iters == b.newton_iters
+
+
+class _SingularStartLine:
+    """Homotopy whose path is the line x(s) = s*b + (1-s)*a.
+
+    Row k is (1-s)*d_k + s*d_k**2 with d = x - x(s), so the Jacobian
+    diag((1-s) + 2*s*d) is exactly zero at the start point (s=1, x=b).
+    """
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def _offset(self, point, s):
+        return point - (s * self.b + (1 - s) * self.a)
+
+    def value(self, point, s):
+        d = self._offset(point, s)
+        return (1 - s) * d + s * d ** 2
+
+    def jacobian(self, point, s):
+        return np.diag((1 - s) + 2 * s * self._offset(point, s))
+
+    def s_derivative(self, point, s):
+        d = self._offset(point, s)
+        return d ** 2 - d - np.diag(self.jacobian(point, s)) * (self.b - self.a)
+
+    def target_residual(self, point):
+        return float(np.max(np.abs(self.value(point, 0.0))))
+
+
+def test_singular_predictor_jacobian_falls_back_to_the_corrector():
+    a = np.array([0.5 - 0.25j, -1.0 + 0.5j])
+    b = np.array([1.0 + 0.5j, 0.25 - 1.0j])
+    homotopy = _SingularStartLine(a, b)
+    with pytest.raises(SingularMatrixError):
+        euler_predict(homotopy, b, 1.0, 0.05)
+    result = track_path(homotopy, b, TrackerConfig())
+    assert result.status == PathStatus.CONVERGED
+    assert np.max(np.abs(result.endpoint - a)) < 1e-12
 
 
 class _BrokenJacobian:
