@@ -43,7 +43,7 @@ def main() -> None:
     on_line = sum(1 for r in plain.results
                   if r.status.value == "converged"
                   and abs(r.endpoint[0]) < 1e-6 and abs(r.endpoint[1]) > 1e-3)
-    print(f"paths: {plain.total_paths}  diverged: {plain.stats.diverged}  "
+    print(f"paths: {plain.total_paths}  diverged: {plain.stats[0].diverged}  "
           f"at origin: {origin}  elsewhere on x1=0: {on_line}")
 
     print("\n== cascade (level 1 embedding, then down) ==")

@@ -9,10 +9,10 @@ down one dimension at a time.
 __version__ = "0.1.0"
 
 from .cascade import (CascadeConfig, CascadeOutput, LevelStats,
-                      NonSquareSystemError, SolutionClass, SolveOutput,
-                      WitnessPoint, WitnessSuperset, classify_endpoint,
-                      cluster_points, cluster_witnesses, run_cascade,
-                      solve_total_degree, verify_witness)
+                      NonSquareSystemError, SolutionClass, WitnessPoint,
+                      WitnessSuperset, classify_endpoint, cluster_points,
+                      cluster_witnesses, run_cascade, solve_total_degree,
+                      verify_witness)
 from .embedding import (CascadeHomotopy, EmbeddedSystem,
                         LevelOutOfRangeError, ParameterSample, StartHomotopy,
                         embed, sample_parameters)
@@ -28,7 +28,7 @@ from .tracking import (PathResult, PathStatus, TrackerConfig, euler_predict,
 __all__ = [
     "__version__",
     "CascadeConfig", "CascadeOutput", "LevelStats", "NonSquareSystemError",
-    "SolutionClass", "SolveOutput", "WitnessPoint", "WitnessSuperset",
+    "SolutionClass", "WitnessPoint", "WitnessSuperset",
     "classify_endpoint", "cluster_points", "cluster_witnesses",
     "run_cascade", "solve_total_degree", "verify_witness",
     "CascadeHomotopy", "EmbeddedSystem", "LevelOutOfRangeError",

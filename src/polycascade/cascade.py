@@ -6,7 +6,8 @@ vanishing slack form the witness superset for that dimension; the
 nonsingular endpoints with nonzero slack are recycled as start points for
 the next homotopy down.  Level 0 collects isolated solutions.  The top
 dimension of the solution set is the largest level whose verified witness
-superset is nonempty.
+superset is nonempty.  A plain total-degree solve is the same run with no
+slack levels: it starts at level 0, where E_0 is f itself.
 
 Since no equation is identically zero the solution set has dimension at
 most n-1, so the cascade starts at level n-1; the level-n system can have
@@ -133,28 +134,20 @@ class LevelStats:
 
 @dataclass(eq=False)
 class CascadeOutput:
+    """One run; a solve has no supersets and its parameters are None."""
+
     supersets: list
     isolated_solutions: list
     unresolved_level0: list
     stats: list
     top_dimension: int | None
-    parameters: ParameterSample
+    parameters: ParameterSample | None
     gamma: complex
     start_constants: np.ndarray
     total_paths: int
     seed: int
-
-
-@dataclass(eq=False)
-class SolveOutput:
-    results: list
-    solutions: list
-    unresolved: list
-    stats: LevelStats
-    gamma: complex
-    start_constants: np.ndarray
-    total_paths: int
-    seed: int
+    # the level-0 path results, in start order
+    results: list = field(default_factory=list)
 
 
 def cluster_points(points: list, tol: float) -> list:
@@ -240,18 +233,6 @@ def _classify(results: list, level: int, cfg: CascadeConfig) -> dict:
     return by_class
 
 
-def _track_from_start(target, rng: RandomSource, cfg: CascadeConfig, slack_vars: int = 0):
-    """Track every root of the total-degree start system for target.
-
-    Returns (results, start system, gamma).
-    """
-    start = build_start_system(target, rng, slack_vars=slack_vars)
-    gamma = rng.unit_complex()
-    results = track_batch(StartHomotopy(target, start, gamma), list(start.roots()),
-                          cfg.tracker, threads=cfg.threads)
-    return results, start, gamma
-
-
 def _finish_level0(results: list, n: int, cfg: CascadeConfig, t0: float):
     """Isolated solutions, clustered leftovers and the stats row of level 0.
 
@@ -279,17 +260,23 @@ def _finish_level0(results: list, n: int, cfg: CascadeConfig, t0: float):
     return isolated, cluster_witnesses(pool, n, cfg), stats
 
 
-def run_cascade(f: PolynomialSystem, cfg: CascadeConfig) -> CascadeOutput:
-    """Run the full cascade on a square system with no zero equations."""
+def _run(f: PolynomialSystem, cfg: CascadeConfig, slack: bool) -> CascadeOutput:
+    """Track from the top level down to level 0, where E_0 is f itself.
+
+    The top level is n-1 with slack and 0 without: a plain total-degree solve.
+    """
     _validate_input(f)
     n = f.n_vars
     rng = RandomSource(cfg.seed)
-    params = sample_parameters(n, rng)
-    top = n - 1
+    params = sample_parameters(n, rng) if slack else None
+    top = n - 1 if slack else 0
 
     t0 = time.perf_counter()
-    results, start, gamma = _track_from_start(embed(f, params, top), rng, cfg,
-                                              slack_vars=top)
+    target = embed(f, params, top)
+    start = build_start_system(target, rng, slack_vars=top)
+    gamma = rng.unit_complex()
+    results = track_batch(StartHomotopy(target, start, gamma), list(start.roots()),
+                          cfg.tracker, threads=cfg.threads)
     total_paths = len(results)
 
     supersets = []
@@ -336,16 +323,14 @@ def run_cascade(f: PolynomialSystem, cfg: CascadeConfig) -> CascadeOutput:
         supersets=supersets, isolated_solutions=isolated,
         unresolved_level0=unresolved0, stats=stats, top_dimension=top_dimension,
         parameters=params, gamma=gamma, start_constants=start.constants.copy(),
-        total_paths=total_paths, seed=cfg.seed)
+        total_paths=total_paths, seed=cfg.seed, results=results)
 
 
-def solve_total_degree(f: PolynomialSystem, cfg: CascadeConfig) -> SolveOutput:
+def run_cascade(f: PolynomialSystem, cfg: CascadeConfig) -> CascadeOutput:
+    """Run the full cascade on a square system with no zero equations."""
+    return _run(f, cfg, slack=True)
+
+
+def solve_total_degree(f: PolynomialSystem, cfg: CascadeConfig) -> CascadeOutput:
     """Plain total-degree homotopy against f itself, no embedding."""
-    _validate_input(f)
-    t0 = time.perf_counter()
-    results, start, gamma = _track_from_start(embed(f, None, 0), RandomSource(cfg.seed), cfg)
-    solutions, unresolved, stats = _finish_level0(results, f.n_vars, cfg, t0)
-    return SolveOutput(results=results, solutions=solutions, unresolved=unresolved,
-                       stats=stats, gamma=gamma,
-                       start_constants=start.constants.copy(),
-                       total_paths=len(results), seed=cfg.seed)
+    return _run(f, cfg, slack=False)

@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .cascade import CascadeConfig, CascadeOutput, SolveOutput
+from .cascade import CascadeConfig, CascadeOutput
 
 SUPERSET_LABEL = "witness superset (may contain points of higher-dimensional components)"
 
@@ -64,45 +64,7 @@ def source_digest(source: str) -> str:
     return "sha256:" + hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def build_cascade_report(output: CascadeOutput, source: str,
-                         cfg: CascadeConfig) -> dict:
-    params = output.parameters
-    top = params.n - 1
-    witness_sets = []
-    for ws in output.supersets:
-        witness_sets.append({
-            "level": int(ws.level),
-            "label": "witness set" if ws.level == top else SUPERSET_LABEL,
-            "points": [_point2j(p) for p in ws.points],
-            "slices": [{"constant": _c2j(c), "coefficients": _vec2j(a)}
-                       for c, a in ws.slices],
-            "filtered_out": int(ws.filtered_out),
-        })
-    return {
-        "kind": "cascade",
-        "version": __version__,
-        "input": {"digest": source_digest(source), "source": source},
-        "seed": int(output.seed),
-        "config": cfg.to_dict(),
-        "gamma": _c2j(output.gamma),
-        "start_constants": _vec2j(output.start_constants),
-        "parameters": {
-            "seed": int(params.seed),
-            "eta": _c2j(params.eta),
-            "hyperplanes": [{"constant": _c2j(c), "coefficients": _vec2j(a)}
-                            for c, a in zip(params.constants, params.coefficients)],
-            "lambda": [_vec2j(row) for row in params.lambda_matrix],
-        },
-        "levels": [asdict(s) for s in output.stats],
-        "witness_sets": witness_sets,
-        "isolated_solutions": [_point2j(p) for p in output.isolated_solutions],
-        "unresolved_level0": [_point2j(p) for p in output.unresolved_level0],
-        "top_dimension": None if output.top_dimension is None else int(output.top_dimension),
-        "total_paths": int(output.total_paths),
-    }
-
-
-def build_solve_report(output: SolveOutput, source: str,
+def build_solve_report(output: CascadeOutput, source: str,
                        cfg: CascadeConfig) -> dict:
     return {
         "kind": "solve",
@@ -112,11 +74,37 @@ def build_solve_report(output: SolveOutput, source: str,
         "config": cfg.to_dict(),
         "gamma": _c2j(output.gamma),
         "start_constants": _vec2j(output.start_constants),
-        "levels": [asdict(output.stats)],
-        "isolated_solutions": [_point2j(p) for p in output.solutions],
-        "unresolved_level0": [_point2j(p) for p in output.unresolved],
+        "levels": [asdict(s) for s in output.stats],
+        "isolated_solutions": [_point2j(p) for p in output.isolated_solutions],
+        "unresolved_level0": [_point2j(p) for p in output.unresolved_level0],
         "total_paths": int(output.total_paths),
     }
+
+
+def build_cascade_report(output: CascadeOutput, source: str,
+                         cfg: CascadeConfig) -> dict:
+    """The solve report plus the parameters, witness sets and top dimension."""
+    params = output.parameters
+    report = build_solve_report(output, source, cfg)
+    report["kind"] = "cascade"
+    report["parameters"] = {
+        "seed": int(params.seed),
+        "eta": _c2j(params.eta),
+        "hyperplanes": [{"constant": _c2j(c), "coefficients": _vec2j(a)}
+                        for c, a in zip(params.constants, params.coefficients)],
+        "lambda": [_vec2j(row) for row in params.lambda_matrix],
+    }
+    report["witness_sets"] = [{
+        "level": int(ws.level),
+        "label": "witness set" if ws.level == params.n - 1 else SUPERSET_LABEL,
+        "points": [_point2j(p) for p in ws.points],
+        "slices": [{"constant": _c2j(c), "coefficients": _vec2j(a)}
+                   for c, a in ws.slices],
+        "filtered_out": int(ws.filtered_out),
+    } for ws in output.supersets]
+    report["top_dimension"] = (None if output.top_dimension is None
+                               else int(output.top_dimension))
+    return report
 
 
 def canonical_dumps(report: dict) -> str:
@@ -201,7 +189,10 @@ def render_cascade_summary(report: dict) -> str:
         lines.append(f"singular/unresolved endpoints: {len(report['unresolved_level0'])} cluster(s)")
         lines.extend(_render_points(report["unresolved_level0"]))
     lines.append("")
-    if report["top_dimension"] is None:
+    if report["top_dimension"] is None and report["unresolved_level0"]:
+        lines.append("no regular solutions; "
+                     f"{len(report['unresolved_level0'])} singular/unresolved cluster(s)")
+    elif report["top_dimension"] is None:
         lines.append("no solutions detected")
     elif report["top_dimension"] == 0:
         lines.append("no positive-dimensional components detected; "

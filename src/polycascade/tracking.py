@@ -170,14 +170,14 @@ def refine_endpoint(value_of, jacobian_of, point: np.ndarray, config: TrackerCon
     """
     x = np.asarray(point, dtype=np.complex128).copy()
 
-    def residual_of(pt):
+    def evaluated(pt):
         value = value_of(pt)
         if not np.all(np.isfinite(value)):
-            return math.inf
-        return float(np.max(np.abs(value)))
+            return value, math.inf
+        return value, float(np.max(np.abs(value)))
 
     best_x = x.copy()
-    best_res = residual_of(x)
+    value, best_res = evaluated(x)
     ratios: list = []
     prev_norm = None
     iters = 0
@@ -186,7 +186,6 @@ def refine_endpoint(value_of, jacobian_of, point: np.ndarray, config: TrackerCon
             factors = lu_factor(jacobian_of(x))
         except SingularMatrixError:
             break
-        value = value_of(x)
         delta = lu_solve(factors, -value)
         if not np.all(np.isfinite(delta)):
             break
@@ -197,17 +196,17 @@ def refine_endpoint(value_of, jacobian_of, point: np.ndarray, config: TrackerCon
         iters += 1
 
         candidate = x + delta
-        cand_res = residual_of(candidate)
+        cand_value, cand_res = evaluated(candidate)
         ratio = _stable_ratio(ratios)
         if ratio is not None:
             mu = int(np.clip(round(1.0 / (1.0 - ratio)), 2, 8))
             scaled = x + mu * delta
-            scaled_res = residual_of(scaled)
+            scaled_value, scaled_res = evaluated(scaled)
             if scaled_res < cand_res:
-                candidate, cand_res = scaled, scaled_res
+                candidate, cand_value, cand_res = scaled, scaled_value, scaled_res
                 ratios.clear()
                 prev_norm = None
-        x = candidate
+        x, value = candidate, cand_value
         if cand_res < best_res:
             best_x, best_res = x.copy(), cand_res
         scale = max(1.0, float(np.max(np.abs(x))))

@@ -49,7 +49,7 @@ def test_criterion_1_plain_solve_path_census():
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     assert out.total_paths == 12
-    assert out.stats.diverged == 1
+    assert out.stats[0].diverged == 1
     converged = [r for r in out.results if r.status == PathStatus.CONVERGED]
     at_origin = [r for r in converged if np.max(np.abs(r.endpoint)) < 1e-6]
     on_line = [r for r in converged

@@ -265,16 +265,20 @@ def _rows(out):
 
 
 def test_single_variable_system():
+    # with n = 1 the cascade has no slack levels, so it is the solve
     f = parse_system("1\n*\nx1^2 - 1;\n")
     for seed in (1, 2, 3):
-        out = run_cascade(f, CascadeConfig(seed=seed))
-        assert out.top_dimension == 0
-        assert out.supersets == []
-        assert _rows(out) == [(0, 2, 0, 2, 0, 0)]
-        assert len(out.isolated_solutions) == 2
-        roots = sorted(complex(p.x[0]).real for p in out.isolated_solutions)
-        assert roots[0] == pytest.approx(-1.0, abs=1e-9)
-        assert roots[1] == pytest.approx(1.0, abs=1e-9)
+        cascade = run_cascade(f, CascadeConfig(seed=seed))
+        solve = solve_total_degree(f, CascadeConfig(seed=seed))
+        assert cascade.parameters is not None and solve.parameters is None
+        for out in (cascade, solve):
+            assert out.top_dimension == 0
+            assert out.supersets == []
+            assert _rows(out) == [(0, 2, 0, 2, 0, 0)]
+            assert len(out.isolated_solutions) == 2
+            roots = sorted(complex(p.x[0]).real for p in out.isolated_solutions)
+            assert roots[0] == pytest.approx(-1.0, abs=1e-9)
+            assert roots[1] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -43,9 +43,9 @@ def census(system_file: str, command: str, seed: int) -> dict:
     cfg = CascadeConfig(seed=seed)
     if command == "solve":
         out = solve_total_degree(f, cfg)
-        return {"levels": [_level(out.stats)],
-                "isolated": len(out.solutions),
-                "unresolved": len(out.unresolved),
+        return {"levels": [_level(s) for s in out.stats],
+                "isolated": len(out.isolated_solutions),
+                "unresolved": len(out.unresolved_level0),
                 "total_paths": out.total_paths}
     out = run_cascade(f, cfg)
     return {"levels": [_level(s) for s in out.stats],

@@ -84,6 +84,18 @@ def test_no_positive_dimension_message(linear_file, capsys):
     assert "no positive-dimensional components detected; 1 isolated solution(s)" in out
 
 
+@pytest.mark.parametrize("text,last", [
+    ("1\n*\n(x1-1)^3;\n", "no regular solutions; 1 singular/unresolved cluster(s)"),
+    ("1\n*\nx1^2;\n", "no regular solutions; 1 singular/unresolved cluster(s)"),
+    ("2\n*\nx1 - 1;\n3;\n", "no solutions detected"),
+], ids=["triple", "double", "inconsistent"])
+def test_closing_line_without_regular_solutions(tmp_path, capsys, text, last):
+    path = tmp_path / "system.sys"
+    path.write_text(text)
+    assert main(["cascade", str(path), "--seed", "1"]) == 0
+    assert capsys.readouterr().out.rstrip("\n").splitlines()[-1] == last
+
+
 def test_verify_pass_and_exit_zero(worked_file, tmp_path, capsys):
     report_path = str(tmp_path / "run.json")
     assert main(["cascade", worked_file, "--seed", "1",

@@ -49,6 +49,28 @@ def test_report_is_json_clean(worked_report):
     assert json.loads(text) == worked_report
 
 
+def test_solve_report_keys():
+    cfg = CascadeConfig(seed=2)
+    out = solve_total_degree(parse_system(LINEAR), cfg)
+    solve = build_solve_report(out, LINEAR, cfg)
+    assert set(solve) == {"kind", "version", "input", "seed", "config", "gamma",
+                          "start_constants", "levels", "isolated_solutions",
+                          "unresolved_level0", "total_paths"}
+    assert solve["kind"] == "solve"
+    assert [row["level"] for row in solve["levels"]] == [0]
+    assert [r.start_index for r in out.results] == [0]
+
+
+def test_cascade_report_extends_solve_report():
+    cfg = CascadeConfig(seed=1)
+    out = run_cascade(parse_system(WORKED), cfg)
+    cascade = build_cascade_report(out, WORKED, cfg)
+    solve = build_solve_report(out, WORKED, cfg)
+    assert set(cascade) == set(solve) | {"parameters", "witness_sets", "top_dimension"}
+    assert cascade["kind"] == "cascade"
+    assert all(cascade[k] == solve[k] for k in solve if k != "kind")
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not a JSON number")
 

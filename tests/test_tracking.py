@@ -135,6 +135,24 @@ def test_refine_endpoint_regular_root():
     assert condition < 100
 
 
+def test_refine_endpoint_evaluates_each_iterate_once():
+    target = embed(parse_system("1\n*\nx1^2 - 4;\n"), None, 0)
+    calls = []
+
+    def value_of(point):
+        calls.append(point.copy())
+        return target.evaluate(point)
+
+    x = np.array([2.0 + 1e-3 + 1e-3j])
+    refined, residual, _, iters = refine_endpoint(
+        value_of, target.jacobian, x, TrackerConfig())
+    assert abs(refined[0] - 2.0) < 1e-12 and residual < 1e-12
+    # the start point plus one candidate per Newton step, none twice
+    assert iters >= 2
+    assert len(calls) == iters + 1
+    assert len({complex(p[0]) for p in calls}) == len(calls)
+
+
 def test_refine_endpoint_multiple_root_acceleration():
     # (x - 1)^3 = 0: plain Newton gains only factor 2/3 per step; the
     # multiplicity-scaled step must still reach full accuracy in the budget
