@@ -173,23 +173,22 @@ def cluster_points(points: list, tol: float) -> list:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
+def _witness(result: PathResult, n_vars: int, multiplicity: int) -> WitnessPoint:
+    return WitnessPoint(x=np.asarray(result.endpoint[:n_vars]).copy(),
+                        multiplicity=multiplicity, residual=float(result.residual),
+                        condition=float(result.condition))
+
+
 def cluster_witnesses(results: list, n_vars: int, cfg: CascadeConfig) -> list:
     """Merge coincident endpoints; multiplicity is the cluster size.
 
     The representative is the residual-minimizing member, already refined by
     the tracker's endgame.
     """
-    if not results:
-        return []
     xs = [np.asarray(r.endpoint[:n_vars]) for r in results]
-    witnesses = []
-    for group in cluster_points(xs, cfg.cluster_tol):
-        best = min(group, key=lambda k: results[k].residual)
-        witnesses.append(WitnessPoint(
-            x=xs[best].copy(), multiplicity=len(group),
-            residual=float(results[best].residual),
-            condition=float(results[best].condition)))
-    return witnesses
+    return [_witness(min((results[k] for k in group), key=lambda r: r.residual),
+                     n_vars, len(group))
+            for group in cluster_points(xs, cfg.cluster_tol)]
 
 
 def verify_witness(x: np.ndarray, base: PolynomialSystem, params: ParameterSample,
@@ -225,41 +224,6 @@ def _validate_input(f: PolynomialSystem) -> None:
             raise ZeroPolynomialError(f"equation {k + 1} is identically zero")
 
 
-def _classify(results: list, level: int, cfg: CascadeConfig) -> dict:
-    """Endpoints bucketed by class, each bucket in tracking order."""
-    by_class: dict = {c: [] for c in SolutionClass}
-    for r in results:
-        by_class[classify_endpoint(r, level, cfg)].append(r)
-    return by_class
-
-
-def _finish_level0(results: list, n: int, cfg: CascadeConfig, t0: float):
-    """Isolated solutions, clustered leftovers and the stats row of level 0.
-
-    A cluster of several converged paths is a multiple solution no matter
-    how tame its condition number looks (the Jacobian can stay scale-balanced
-    on the approach), so only singleton clusters count as isolated.
-    """
-    by_class = _classify(results, 0, cfg)
-    candidates = by_class[SolutionClass.NONSINGULAR_SLACK]
-    pool = by_class[SolutionClass.SINGULAR_UNRESOLVED]
-    isolated = []
-    for group in cluster_points([r.endpoint for r in candidates], cfg.cluster_tol):
-        if len(group) == 1:
-            r = candidates[group[0]]
-            isolated.append(WitnessPoint(
-                x=np.asarray(r.endpoint).copy(), multiplicity=1,
-                residual=float(r.residual), condition=float(r.condition)))
-        else:
-            pool.extend(candidates[k] for k in group)
-    diverged = len(by_class[SolutionClass.DIVERGED])
-    stats = LevelStats(
-        level=0, n_paths=len(results), on_component=0, regular=len(isolated),
-        diverged=diverged, unresolved=len(results) - len(isolated) - diverged,
-        wall_ms=(time.perf_counter() - t0) * 1000.0)
-    return isolated, cluster_witnesses(pool, n, cfg), stats
-
-
 def _run(f: PolynomialSystem, cfg: CascadeConfig, slack: bool) -> CascadeOutput:
     """Track from the top level down to level 0, where E_0 is f itself.
 
@@ -281,40 +245,52 @@ def _run(f: PolynomialSystem, cfg: CascadeConfig, slack: bool) -> CascadeOutput:
 
     supersets = []
     stats = []
-    for level in range(top, 0, -1):
-        by_class = _classify(results, level, cfg)
+    for level in range(top, -1, -1):
+        by_class: dict = {c: [] for c in SolutionClass}
+        for r in results:
+            by_class[classify_endpoint(r, level, cfg)].append(r)
         on_component = by_class[SolutionClass.ON_COMPONENT]
         regular = by_class[SolutionClass.NONSINGULAR_SLACK]
-
-        witnesses = cluster_witnesses(on_component, n, cfg)
-        kept = [w for w in witnesses
-                if verify_witness(w.x, f, params, level, cfg)["pass"]]
-        slices = [(complex(params.eff_constants[j]), params.eff_coefficients[j].copy())
-                  for j in range(level)]
-        supersets.append(WitnessSuperset(level=level, points=kept, slices=slices,
-                                         filtered_out=len(witnesses) - len(kept)))
+        if level:
+            witnesses = cluster_witnesses(on_component, n, cfg)
+            kept = [w for w in witnesses
+                    if verify_witness(w.x, f, params, level, cfg)["pass"]]
+            slices = [(complex(params.eff_constants[j]), params.eff_coefficients[j].copy())
+                      for j in range(level)]
+            supersets.append(WitnessSuperset(level=level, points=kept, slices=slices,
+                                             filtered_out=len(witnesses) - len(kept)))
+        else:
+            # A cluster of several converged paths is a multiple solution no
+            # matter how tame its condition number looks (the Jacobian can
+            # stay scale-balanced on the approach), so only singletons are
+            # isolated; the other members join the unresolved endpoints.
+            groups = cluster_points([r.endpoint for r in regular], cfg.cluster_tol)
+            pool = by_class[SolutionClass.SINGULAR_UNRESOLVED]
+            pool += [regular[k] for g in groups if len(g) > 1 for k in g]
+            regular = [regular[g[0]] for g in groups if len(g) == 1]
+            isolated = [_witness(r, n, 1) for r in regular]
+            unresolved0 = cluster_witnesses(pool, n, cfg)
+        diverged = len(by_class[SolutionClass.DIVERGED])
         stats.append(LevelStats(
-            level=level, n_paths=len(results),
-            on_component=len(on_component), regular=len(regular),
-            diverged=len(by_class[SolutionClass.DIVERGED]),
-            unresolved=len(by_class[SolutionClass.SINGULAR_UNRESOLVED]),
+            level=level, n_paths=len(results), on_component=len(on_component),
+            regular=len(regular), diverged=diverged,
+            unresolved=len(results) - len(on_component) - len(regular) - diverged,
             wall_ms=(time.perf_counter() - t0) * 1000.0))
 
-        # with no nonsingular endpoints the lower levels get empty rows
-        t0 = time.perf_counter()
-        results = []
-        if regular:
-            results = track_batch(CascadeHomotopy(f, params, level),
-                                  [r.endpoint for r in regular],
-                                  cfg.tracker, threads=cfg.threads)
-            total_paths += len(results)
-            # z_level is exactly zero at converged endpoints (it is one of
-            # the refined equations); the slacks left decide the next level
-            for r in results:
-                r.endpoint = r.endpoint[:-1]
+        if level:
+            # with no nonsingular endpoints the lower levels get empty rows
+            t0 = time.perf_counter()
+            results = []
+            if regular:
+                results = track_batch(CascadeHomotopy(f, params, level),
+                                      [r.endpoint for r in regular],
+                                      cfg.tracker, threads=cfg.threads)
+                total_paths += len(results)
+                # z_level is exactly zero at converged endpoints (it is one
+                # of the refined equations); the slacks left decide the next level
+                for r in results:
+                    r.endpoint = r.endpoint[:-1]
 
-    isolated, unresolved0, stats0 = _finish_level0(results, n, cfg, t0)
-    stats.append(stats0)
     top_dimension = max((ws.level for ws in supersets if ws.points), default=None)
     if top_dimension is None and isolated:
         top_dimension = 0

@@ -23,8 +23,8 @@ from .cascade import (CascadeConfig, NonSquareSystemError, run_cascade,
 from .embedding import ParameterSample
 from .polynomials import ParseError, parse_system
 from .report import (build_cascade_report, build_solve_report, canonical_dumps,
-                     j2vec, load_report, render_cascade_summary,
-                     render_solve_listing, write_report, write_witness_file)
+                     j2vec, load_report, render_cascade_summary, write_report,
+                     write_witness_file)
 from .start_systems import ZeroPolynomialError
 
 EXIT_OK = 0
@@ -121,10 +121,8 @@ def cmd_run(args) -> int:
         write_witness_file(witness_path, report)
     if args.format == "json":
         sys.stdout.write(canonical_dumps(report))
-    elif solve:
-        print(render_solve_listing(report, results=output.results))
     else:
-        print(render_cascade_summary(report))
+        print(render_cascade_summary(report, results=output.results if solve else None))
     return EXIT_OK
 
 

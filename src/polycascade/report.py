@@ -173,36 +173,12 @@ def _render_points(points: list, indent: str = "  ") -> list:
     return lines
 
 
-def render_cascade_summary(report: dict) -> str:
-    lines = [render_cascade_table(report), ""]
-    for ws in sorted(report["witness_sets"], key=lambda w: -w["level"]):
-        if not (ws["points"] or ws["filtered_out"]):
-            continue
-        lines.append(f"dimension {ws['level']}: {len(ws['points'])} witness point(s)"
-                     + (f" [{ws['filtered_out']} filtered]" if ws["filtered_out"] else "")
-                     + f" -- {ws['label']}")
-        lines.extend(_render_points(ws["points"]))
-    if report["isolated_solutions"]:
-        lines.append(f"isolated solutions: {len(report['isolated_solutions'])}")
-        lines.extend(_render_points(report["isolated_solutions"]))
-    if report["unresolved_level0"]:
-        lines.append(f"singular/unresolved endpoints: {len(report['unresolved_level0'])} cluster(s)")
-        lines.extend(_render_points(report["unresolved_level0"]))
-    lines.append("")
-    if report["top_dimension"] is None and report["unresolved_level0"]:
-        lines.append("no regular solutions; "
-                     f"{len(report['unresolved_level0'])} singular/unresolved cluster(s)")
-    elif report["top_dimension"] is None:
-        lines.append("no solutions detected")
-    elif report["top_dimension"] == 0:
-        lines.append("no positive-dimensional components detected; "
-                     f"{len(report['isolated_solutions'])} isolated solution(s)")
-    else:
-        lines.append(f"top dimension: {report['top_dimension']}")
-    return "\n".join(lines)
+def render_cascade_summary(report: dict, results=None) -> str:
+    """The per-level table, the witness sets and level 0, then a closing line.
 
-
-def render_solve_listing(report: dict, results=None) -> str:
+    Serves solve and cascade reports alike; given the level-0 path results,
+    one line per path comes first.
+    """
     lines = []
     if results is not None:
         for r in results:
@@ -210,15 +186,33 @@ def render_solve_listing(report: dict, results=None) -> str:
             lines.append(f"path {r.start_index:3d}  {r.status.value:>9}  {coords}"
                          f"  residual {r.residual:.2e}  condition {r.condition:.2e}")
         lines.append("")
-    s = report["levels"][0]
-    lines.append(f"{s['n_paths']} paths: {s['regular']} regular, "
-                 f"{s['diverged']} diverged, {s['unresolved']} singular/unresolved")
-    if report["isolated_solutions"]:
-        lines.append(f"isolated solutions: {len(report['isolated_solutions'])}")
-        lines.extend(_render_points(report["isolated_solutions"]))
-    if report["unresolved_level0"]:
-        lines.append(f"singular/unresolved clusters: {len(report['unresolved_level0'])}")
-        lines.extend(_render_points(report["unresolved_level0"]))
+    lines += [render_cascade_table(report), ""]
+    for ws in sorted(report.get("witness_sets", []), key=lambda w: -w["level"]):
+        if not (ws["points"] or ws["filtered_out"]):
+            continue
+        lines.append(f"dimension {ws['level']}: {len(ws['points'])} witness point(s)"
+                     + (f" [{ws['filtered_out']} filtered]" if ws["filtered_out"] else "")
+                     + f" -- {ws['label']}")
+        lines.extend(_render_points(ws["points"]))
+    isolated, unresolved = report["isolated_solutions"], report["unresolved_level0"]
+    if isolated:
+        lines.append(f"isolated solutions: {len(isolated)}")
+        lines.extend(_render_points(isolated))
+    if unresolved:
+        lines.append(f"singular/unresolved endpoints: {len(unresolved)} cluster(s)")
+        lines.extend(_render_points(unresolved))
+    lines.append("")
+    # a solve report has no top_dimension: it looks for isolated solutions only
+    top = report.get("top_dimension")
+    if top:
+        lines.append(f"top dimension: {top}")
+    elif isolated:
+        lines.append(("no positive-dimensional components detected; " if top == 0 else "")
+                     + f"{len(isolated)} isolated solution(s)")
+    elif unresolved:
+        lines.append(f"no regular solutions; {len(unresolved)} singular/unresolved cluster(s)")
+    else:
+        lines.append("no solutions detected")
     return "\n".join(lines)
 
 

@@ -279,6 +279,18 @@ def test_single_variable_system():
             roots = sorted(complex(p.x[0]).real for p in out.isolated_solutions)
             assert roots[0] == pytest.approx(-1.0, abs=1e-9)
             assert roots[1] == pytest.approx(1.0, abs=1e-9)
+    # a double root beside a simple one: level 0 keeps the singleton and
+    # sends the two-point cluster to the unresolved endpoints
+    g = parse_system("1\n*\n(x1-1)^2*(x1+2);\n")
+    for seed in (1, 2, 3):
+        for out in (run_cascade(g, CascadeConfig(seed=seed)),
+                    solve_total_degree(g, CascadeConfig(seed=seed))):
+            assert _rows(out) == [(0, 3, 0, 1, 0, 2)]
+            [root] = out.isolated_solutions
+            assert complex(root.x[0]) == pytest.approx(-2.0, abs=1e-9)
+            [double] = out.unresolved_level0
+            assert double.multiplicity == 2
+            assert complex(double.x[0]) == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -84,15 +84,22 @@ def test_no_positive_dimension_message(linear_file, capsys):
     assert "no positive-dimensional components detected; 1 isolated solution(s)" in out
 
 
-@pytest.mark.parametrize("text,last", [
-    ("1\n*\n(x1-1)^3;\n", "no regular solutions; 1 singular/unresolved cluster(s)"),
-    ("1\n*\nx1^2;\n", "no regular solutions; 1 singular/unresolved cluster(s)"),
-    ("2\n*\nx1 - 1;\n3;\n", "no solutions detected"),
-], ids=["triple", "double", "inconsistent"])
-def test_closing_line_without_regular_solutions(tmp_path, capsys, text, last):
+CLOSING_LINES = [
+    ("triple", "1\n*\n(x1-1)^3;\n", "no regular solutions; 1 singular/unresolved cluster(s)"),
+    ("double", "1\n*\nx1^2;\n", "no regular solutions; 1 singular/unresolved cluster(s)"),
+    ("inconsistent", "2\n*\nx1 - 1;\n3;\n", "no solutions detected"),
+]
+
+
+# solve prints the cascade's summary, so it must close the same way
+@pytest.mark.parametrize("command,text,last", [
+    pytest.param(command, text, last,
+                 id=name if command == "cascade" else f"{command}-{name}")
+    for command in ("cascade", "solve") for name, text, last in CLOSING_LINES])
+def test_closing_line_without_regular_solutions(tmp_path, capsys, command, text, last):
     path = tmp_path / "system.sys"
     path.write_text(text)
-    assert main(["cascade", str(path), "--seed", "1"]) == 0
+    assert main([command, str(path), "--seed", "1"]) == 0
     assert capsys.readouterr().out.rstrip("\n").splitlines()[-1] == last
 
 

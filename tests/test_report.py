@@ -17,9 +17,8 @@ from polycascade.polynomials import parse_system
 from polycascade.report import (build_cascade_report, build_solve_report,
                                 canonical_dumps, j2vec, load_report,
                                 render_cascade_summary, render_cascade_table,
-                                render_solve_listing, source_digest,
-                                strip_timing_fields, write_report,
-                                write_witness_file)
+                                source_digest, strip_timing_fields,
+                                write_report, write_witness_file)
 
 WORKED = "2\n*\nx1^2*x2;\nx1^2*(x2^2 + x1);\n"
 SPHERE_POINT = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "sphere_point.sys"
@@ -141,9 +140,12 @@ def test_solve_listing_counts():
     cfg = CascadeConfig(seed=2)
     out = solve_total_degree(f, cfg)
     report = build_solve_report(out, LINEAR, cfg)
-    text = render_solve_listing(report, results=out.results)
-    assert "1 paths: 1 regular" in text
-    assert "isolated solutions: 1" in text
+    lines = render_cascade_summary(report, results=out.results).splitlines()
+    assert lines[0].startswith("path   0  converged")
+    row = next(k for k, ln in enumerate(lines) if ln.lstrip().startswith("E_0"))
+    assert lines[row].split()[:6] == ["E_0", "1", "0", "1", "0", "0"]
+    assert lines.index("isolated solutions: 1") > row
+    assert lines[-1] == "1 isolated solution(s)"
 
 
 def test_witness_file_layout(tmp_path, worked_report):
