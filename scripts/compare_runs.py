@@ -8,19 +8,22 @@ Runs a fixed set of 24 commands through ``python -m polycascade.cli`` in
 both checkouts, on the same input files: worked_example, lines2 and
 sphere_point under ``solve`` and ``cascade``, plus cyclic-4 and the unit
 sphere written three times under ``cascade``, each at seeds 1-3.  For every
-run it prints whether the census, the report and the witness file agree.
+run it prints whether the census, the report, the witness file and the
+table-format stdout agree, and whether ``verify`` accepts this checkout's
+report.
 
 The census is the per-level class counts, the witness multiplicities and
 filtered counts, the isolated and unresolved counts, the top dimension and
 the total path count.  Reports are compared after ``strip_timing_fields``,
-with non-finite numbers written as null.  Exits 1 if any census differs.
+and stdout after masking the time cells of the per-level table.  Exits 1
+if any census differs or any ``verify`` run fails.
 """
 
 import argparse
 import json
-import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -34,6 +37,9 @@ THREE_SPHERES = ("3\n*\nx1^2 + x2^2 + x3^2 - 1;\n"
                  "2*x1^2 + 2*x2^2 + 2*x3^2 - 2;\n"
                  "3*x1^2 + 3*x2^2 + 3*x3^2 - 3;\n")
 SEEDS = (1, 2, 3)
+# the table's time column; its width follows the longest time, so the
+# padding in front of it is masked too
+TIME_CELL = re.compile(r" +(\d+\.\d\ds|time)$", re.MULTILINE)
 
 
 def run_set(inputs: dict) -> list:
@@ -47,19 +53,26 @@ def run_set(inputs: dict) -> list:
     return runs
 
 
+def cli(checkout: pathlib.Path, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """``python -m polycascade.cli`` with a checkout's sources, stdout captured."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    return subprocess.run([sys.executable, "-m", "polycascade.cli", *args], cwd=checkout,
+                          env=env, check=check, stdout=subprocess.PIPE, text=True)
+
+
 def run_cli(checkout: pathlib.Path, command: str, source: str, seed: int,
             out: pathlib.Path) -> tuple:
-    """Run one command in a checkout; returns (report, witness text or None)."""
+    """Run one command in a checkout; returns (report, witness text or None,
+    stdout with the time cells masked)."""
     report, witness = out / "report.json", out / "run.witness"
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    argv = [sys.executable, "-m", "polycascade.cli", command, source,
-            "--seed", str(seed), "--report", str(report)]
+    argv = [command, source, "--seed", str(seed), "--report", str(report)]
     if command == "cascade":
         argv += ["--witness", str(witness)]
-    subprocess.run(argv, cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL)
+    stdout = TIME_CELL.sub(" <time>", cli(checkout, *argv).stdout)
     with open(report, "r", encoding="utf-8") as fh:
         loaded = json.load(fh)
-    return loaded, witness.read_text(encoding="utf-8") if command == "cascade" else None
+    return (loaded, witness.read_text(encoding="utf-8") if command == "cascade" else None,
+            stdout)
 
 
 def census(report: dict) -> dict:
@@ -75,18 +88,8 @@ def census(report: dict) -> dict:
     }
 
 
-def _non_finite_as_null(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _non_finite_as_null(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_non_finite_as_null(v) for v in value]
-    return value
-
-
 def report_bytes(report: dict) -> str:
-    return canonical_dumps(_non_finite_as_null(strip_timing_fields(report)))
+    return canonical_dumps(strip_timing_fields(report))
 
 
 def main() -> int:
@@ -96,7 +99,8 @@ def main() -> int:
     args = ap.parse_args()
     parent = args.parent_dir.resolve()
 
-    census_diffs = 0
+    census_diffs = verify_fails = 0
+    tally: dict = {}  # compared output -> [runs where it is the same, runs]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         (tmp / "three_spheres.sys").write_text(THREE_SPHERES, encoding="utf-8")
@@ -111,13 +115,24 @@ def main() -> int:
             new = run_cli(ROOT, command, source, seed, tmp / "child")
             same_census = census(old[0]) == census(new[0])
             census_diffs += not same_census
-            cells = [f"census {'same' if same_census else 'DIFFERS'}",
-                     f"report {'same' if report_bytes(old[0]) == report_bytes(new[0]) else 'differs'}"]
+            cells = [f"census {'same' if same_census else 'DIFFERS'}"]
+            checks = {"report": report_bytes(old[0]) == report_bytes(new[0]),
+                      "stdout": old[2] == new[2]}
             if command == "cascade":
-                cells.append(f"witness {'same' if old[1] == new[1] else 'differs'}")
+                checks["witness file"] = old[1] == new[1]
+            for name, equal in checks.items():
+                counts = tally.setdefault(name, [0, 0])
+                counts[0] += equal
+                counts[1] += 1
+                cells.append(f"{name} {'same' if equal else 'differs'}")
+            code = cli(ROOT, "verify", str(tmp / "child" / "report.json"), check=False).returncode
+            verify_fails += code != 0
+            cells.append("verify ok" if code == 0 else f"verify FAILED (exit {code})")
             print(f"{label:<32} " + "  ".join(cells), flush=True)
-    print(f"{census_diffs} census difference(s)")
-    return 1 if census_diffs else 0
+    print(f"{census_diffs} census difference(s); "
+          + ", ".join(f"{s}/{n} {name}s same" for name, (s, n) in tally.items())
+          + f"; {verify_fails} verify failure(s)")
+    return 1 if census_diffs or verify_fails else 0
 
 
 if __name__ == "__main__":

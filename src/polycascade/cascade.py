@@ -107,17 +107,16 @@ class WitnessPoint:
 
 @dataclass(eq=False)
 class WitnessSuperset:
-    """Witness candidates at one dimension, with the slicing hyperplanes.
+    """Witness candidates at one dimension.
 
-    slices holds the effective (eta-absorbed) hyperplanes as (constant,
-    coefficient vector) pairs; every stored point satisfies the base system
-    and all its slices to the class tolerance.  Points of higher-dimensional
-    components may still be present below the top dimension.
+    Every stored point satisfies the base system and the first level
+    effective hyperplanes of the run's parameters to the class tolerance.
+    Points of higher-dimensional components may still be present below the
+    top dimension.
     """
 
     level: int
     points: list
-    slices: list
     filtered_out: int = 0
 
 
@@ -255,9 +254,7 @@ def _run(f: PolynomialSystem, cfg: CascadeConfig, slack: bool) -> CascadeOutput:
             witnesses = cluster_witnesses(on_component, n, cfg)
             kept = [w for w in witnesses
                     if verify_witness(w.x, f, params, level, cfg)["pass"]]
-            slices = [(complex(params.eff_constants[j]), params.eff_coefficients[j].copy())
-                      for j in range(level)]
-            supersets.append(WitnessSuperset(level=level, points=kept, slices=slices,
+            supersets.append(WitnessSuperset(level=level, points=kept,
                                              filtered_out=len(witnesses) - len(kept)))
         else:
             # A cluster of several converged paths is a multiple solution no

@@ -15,16 +15,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .cascade import (CascadeConfig, NonSquareSystemError, run_cascade,
                       solve_total_degree, verify_witness)
-from .embedding import ParameterSample
 from .polynomials import ParseError, parse_system
 from .report import (build_cascade_report, build_solve_report, canonical_dumps,
-                     j2vec, load_report, render_cascade_summary, write_report,
-                     write_witness_file)
+                     decode_report, load_report, render_cascade_summary,
+                     write_report, write_witness_file)
 from .start_systems import ZeroPolynomialError
 
 EXIT_OK = 0
@@ -38,12 +35,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="polynomial system file")
     sub.add_argument("--seed", type=int, default=None,
                      help="random seed (64-bit; default 0)")
-    sub.add_argument("--tol-z", type=float, default=None,
-                     help="slack threshold for on-component classification")
-    sub.add_argument("--cond-max", type=float, default=None,
-                     help="condition bound for nonsingular endpoints")
-    sub.add_argument("--newton-tol", type=float, default=None,
-                     help="Newton convergence tolerance")
     sub.add_argument("--threads", type=int, default=None,
                      help="worker threads for path tracking")
     sub.add_argument("--config", default=None,
@@ -85,13 +76,9 @@ def _build_config(args) -> CascadeConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         settings.update(loaded)
-    for name in ("seed", "tol_z", "cond_max", "threads"):
+    for name in ("seed", "threads"):
         if getattr(args, name) is not None:
             settings[name] = getattr(args, name)
-    if args.newton_tol is not None:
-        tracker = dict(settings.get("tracker", {}))
-        tracker["newton_tol"] = args.newton_tol
-        settings["tracker"] = tracker
     return CascadeConfig.from_dict(settings)
 
 
@@ -126,41 +113,10 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _decode_report(report: dict):
-    """(config, parameters, [(level, points)]) decoded from a report.
-
-    The parameters are None when no witness point is stored: solve reports
-    carry none.  The witness file is written from each set's slices, so they
-    must equal the parameters' effective hyperplanes (JSON floats round-trip).
-    """
-    cfg = CascadeConfig.from_dict(report["config"])
-    sets = [(ws["level"], [j2vec(p["coordinates"]) for p in ws["points"]])
-            for ws in sorted(report.get("witness_sets", []), key=lambda w: -w["level"])]
-    if not any(points for _, points in sets):
-        return cfg, None, sets
-    p = report["parameters"]
-    params = ParameterSample(
-        seed=int(p["seed"]), eta=complex(*p["eta"]),
-        constants=j2vec([h["constant"] for h in p["hyperplanes"]]),
-        coefficients=np.vstack([j2vec(h["coefficients"]) for h in p["hyperplanes"]]),
-        lambda_matrix=np.vstack([j2vec(row) for row in p["lambda"]]))
-    if any(w.shape != (params.n,) for _, points in sets for w in points):
-        raise ValueError("witness points and parameters differ in length")
-    for ws in report["witness_sets"]:
-        level = ws["level"]
-        constants = j2vec([sl["constant"] for sl in ws["slices"]])
-        coefficients = np.array([j2vec(sl["coefficients"]) for sl in ws["slices"]])
-        if not (1 <= level <= params.n
-                and np.array_equal(constants, params.eff_constants[:level])
-                and np.array_equal(coefficients, params.eff_coefficients[:level])):
-            raise ValueError(f"dim {level} witness set disagrees with the parameters")
-    return cfg, params, sets
-
-
 def cmd_verify(args) -> int:
     try:
         report = load_report(args.report)
-        cfg, params, witness_sets = _decode_report(report)
+        cfg, params, witness_sets = decode_report(report)
         if args.against is None:
             system = parse_system(report["input"]["source"])
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
@@ -201,7 +157,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ZeroPolynomialError, OSError, UnicodeDecodeError) as exc:
+    except (ZeroPolynomialError, OverflowError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NonSquareSystemError as exc:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .cascade import CascadeConfig, CascadeOutput
+from .embedding import ParameterSample
 
 SUPERSET_LABEL = "witness superset (may contain points of higher-dimensional components)"
 
@@ -60,6 +61,12 @@ def _point2j(p) -> dict:
     }
 
 
+def _slices2j(params: ParameterSample, level: int) -> list:
+    """The effective (eta-absorbed) hyperplanes that slice dimension level."""
+    return [{"constant": _c2j(c), "coefficients": _vec2j(a)}
+            for c, a in zip(params.eff_constants[:level], params.eff_coefficients[:level])]
+
+
 def source_digest(source: str) -> str:
     return "sha256:" + hashlib.sha256(source.encode("utf-8")).hexdigest()
 
@@ -98,8 +105,7 @@ def build_cascade_report(output: CascadeOutput, source: str,
         "level": int(ws.level),
         "label": "witness set" if ws.level == params.n - 1 else SUPERSET_LABEL,
         "points": [_point2j(p) for p in ws.points],
-        "slices": [{"constant": _c2j(c), "coefficients": _vec2j(a)}
-                   for c, a in ws.slices],
+        "slices": _slices2j(params, ws.level),
         "filtered_out": int(ws.filtered_out),
     } for ws in output.supersets]
     report["top_dimension"] = (None if output.top_dimension is None
@@ -119,6 +125,33 @@ def write_report(path: str, report: dict) -> None:
 def load_report(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def decode_report(report: dict):
+    """(config, parameters, [(level, points)]) decoded from a report.
+
+    The parameters are None when no witness point is stored: solve reports
+    carry none.  The witness file is written from each set's slices, so they
+    must be the ones the parameters give (JSON floats round-trip).
+    """
+    cfg = CascadeConfig.from_dict(report["config"])
+    sets = [(ws["level"], [j2vec(p["coordinates"]) for p in ws["points"]])
+            for ws in sorted(report.get("witness_sets", []), key=lambda w: -w["level"])]
+    if not any(points for _, points in sets):
+        return cfg, None, sets
+    p = report["parameters"]
+    params = ParameterSample(
+        seed=int(p["seed"]), eta=complex(*p["eta"]),
+        constants=j2vec([h["constant"] for h in p["hyperplanes"]]),
+        coefficients=np.vstack([j2vec(h["coefficients"]) for h in p["hyperplanes"]]),
+        lambda_matrix=np.vstack([j2vec(row) for row in p["lambda"]]))
+    if any(w.shape != (params.n,) for _, points in sets for w in points):
+        raise ValueError("witness points and parameters differ in length")
+    for ws in report["witness_sets"]:
+        level = ws["level"]
+        if not (1 <= level <= params.n and ws["slices"] == _slices2j(params, level)):
+            raise ValueError(f"dim {level} witness set disagrees with the parameters")
+    return cfg, params, sets
 
 
 def strip_timing_fields(report: dict) -> dict:

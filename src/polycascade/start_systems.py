@@ -12,6 +12,7 @@ instead of a random constant, so their start value is exactly 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ class StartSystem:
             raise ValueError("degrees and constants must have equal length")
         if any(d < 1 for d in self.degrees):
             raise ValueError("start degrees must be positive")
+        if self.root_count > sys.maxsize:
+            raise OverflowError(f"{self.root_count} start paths are too many to enumerate")
         d = np.array(self.degrees, dtype=np.float64)
         # principal d-th roots; the remaining roots differ by roots of unity
         object.__setattr__(self, "_principal", self.constants ** (1.0 / d))
@@ -46,7 +49,7 @@ class StartSystem:
 
     @property
     def root_count(self) -> int:
-        return int(np.prod(self.degrees, dtype=np.int64))
+        return math.prod(self.degrees)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)

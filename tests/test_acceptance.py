@@ -196,7 +196,8 @@ def test_criterion_5_cyclic4_matches_symbolic_oracle():
         assert out.isolated_solutions == []
         dim1 = next(ws for ws in out.supersets if ws.level == 1)
         assert len(dim1.points) == 4  # two points on each degree-2 curve
-        constant, coeffs = dim1.slices[0]
+        constant = out.parameters.eff_constants[0]
+        coeffs = out.parameters.eff_coefficients[0]
         oracle = _cyclic4_oracle_points(constant, coeffs)
         assert len(oracle) == 4
         for p in oracle:

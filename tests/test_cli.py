@@ -261,6 +261,16 @@ def test_zero_polynomial_exit_2(tmp_path, capsys):
     assert "identically zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "cascade"])
+def test_unenumerable_root_count_exit_2(tmp_path, capsys, command):
+    # 600**7 start paths: more than a 64-bit count holds
+    f = tmp_path / "big.sys"
+    f.write_text("7\n*\n" + "".join(f"x{k}^600 - 1;\n" for k in range(1, 8)))
+    assert main([command, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and str(600**7) in err and "Traceback" not in err
+
+
 def test_bad_config_exit_4(worked_file, linear_file, tmp_path, capsys):
     assert main(["solve", linear_file, "--seed", "-1"]) == 4
     cfgfile = tmp_path / "cfg.json"
@@ -277,8 +287,10 @@ def test_bad_config_exit_4(worked_file, linear_file, tmp_path, capsys):
         cfgfile.write_text(setting)
         assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4, setting
     # NaN fails every range comparison, so it needs its own rejection
-    assert main(["cascade", worked_file, "--seed", "1", "--tol-z", "nan"]) == 4
-    assert main(["solve", linear_file, "--newton-tol", "nan"]) == 4
+    cfgfile.write_text('{"tol_z": NaN}')
+    assert main(["cascade", worked_file, "--seed", "1", "--config", str(cfgfile)]) == 4
+    cfgfile.write_text('{"tracker": {"newton_tol": NaN}}')
+    assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
     assert "tol_z must be finite" in err and "newton_tol must be finite" in err
@@ -287,13 +299,14 @@ def test_bad_config_exit_4(worked_file, linear_file, tmp_path, capsys):
 def test_config_file_applies(linear_file, capsys):
     import tempfile, os
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump({"tracker": {"step_initial": 0.02}}, fh)
+        json.dump({"tracker": {"step_initial": 0.02, "newton_tol": 1e-9}}, fh)
         path = fh.name
     try:
         code = main(["solve", linear_file, "--config", path, "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["config"]["tracker"]["step_initial"] == 0.02
+        assert report["config"]["tracker"]["newton_tol"] == 1e-9
     finally:
         os.unlink(path)
 
@@ -316,14 +329,6 @@ def test_config_file_seed_applies_without_flag(linear_file, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["seed"] == 3 and report["config"]["seed"] == 3
-
-
-def test_newton_tol_flag_reaches_tracker(linear_file, capsys):
-    code = main(["solve", linear_file, "--newton-tol", "1e-9",
-                 "--format", "json"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert report["config"]["tracker"]["newton_tol"] == 1e-9
 
 
 def test_threads_flag(worked_file, capsys):

@@ -15,7 +15,7 @@ from polycascade.embedding import sample_parameters
 from polycascade.linalg import RandomSource
 from polycascade.polynomials import parse_system
 from polycascade.report import (build_cascade_report, build_solve_report,
-                                canonical_dumps, j2vec, load_report,
+                                canonical_dumps, decode_report, j2vec, load_report,
                                 render_cascade_summary, render_cascade_table,
                                 source_digest, strip_timing_fields,
                                 write_report, write_witness_file)
@@ -186,6 +186,22 @@ def test_j2vec_inverts_encoding():
     assert np.array_equal(j2vec(pairs), v)
 
 
+def test_decode_report_round_trip():
+    f = parse_system(WORKED)
+    cfg = CascadeConfig(seed=1)
+    out = run_cascade(f, cfg)
+    report = json.loads(canonical_dumps(build_cascade_report(out, WORKED, cfg)))
+    decoded_cfg, params, sets = decode_report(report)
+    assert decoded_cfg == cfg
+    for name in ("eff_constants", "eff_coefficients", "eff_lambda"):
+        assert np.array_equal(getattr(params, name), getattr(out.parameters, name))
+    assert [level for level, _ in sets] == [ws.level for ws in out.supersets]
+    for (_, points), ws in zip(sets, out.supersets):
+        assert len(points) == len(ws.points)
+        for x, p in zip(points, ws.points):
+            assert np.array_equal(x, p.x)
+
+
 def _random_output(draw_ints, n=2, levels=1):
     rng = RandomSource(draw_ints(0, 2**32 - 1))
     params = sample_parameters(n, rng)
@@ -200,9 +216,7 @@ def _random_output(draw_ints, n=2, levels=1):
     stats = []
     for lv in range(levels, 0, -1):
         pts = [point() for _ in range(draw_ints(0, 3))]
-        slices = [(complex(params.eff_constants[j]), params.eff_coefficients[j])
-                  for j in range(lv)]
-        supersets.append(WitnessSuperset(level=lv, points=pts, slices=slices,
+        supersets.append(WitnessSuperset(level=lv, points=pts,
                                          filtered_out=draw_ints(0, 2)))
         stats.append(LevelStats(level=lv, n_paths=draw_ints(0, 20),
                                 on_component=draw_ints(0, 5), regular=draw_ints(0, 5),

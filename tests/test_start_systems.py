@@ -20,6 +20,14 @@ def test_root_count_is_degree_product():
     assert g.root_count == 12
 
 
+def test_root_count_is_exact_beyond_int64():
+    # 2**62 still fits a signed 64-bit count; 2**64 would have wrapped to 0
+    g = build_start_system(parse_system("62\n*\n" + "x1^2;\n" * 62), RandomSource(0))
+    assert g.root_count == 2**62
+    with pytest.raises(OverflowError, match=str(2**64)):
+        build_start_system(parse_system("64\n*\n" + "x1^2;\n" * 64), RandomSource(0))
+
+
 def test_roots_are_exact():
     f = parse_system("2\n*\nx1^3 - 1;\nx2^2 - 4;\n")
     g = build_start_system(f, RandomSource(5))
