@@ -33,9 +33,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from polycascade.report import canonical_dumps, strip_timing_fields  # noqa: E402
 
-THREE_SPHERES = ("3\n*\nx1^2 + x2^2 + x3^2 - 1;\n"
-                 "2*x1^2 + 2*x2^2 + 2*x3^2 - 2;\n"
-                 "3*x1^2 + 3*x2^2 + 3*x3^2 - 3;\n")
 SEEDS = (1, 2, 3)
 # the table's time column; its width follows the longest time, so the
 # padding in front of it is masked too
@@ -103,11 +100,9 @@ def main() -> int:
     tally: dict = {}  # compared output -> [runs where it is the same, runs]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        (tmp / "three_spheres.sys").write_text(THREE_SPHERES, encoding="utf-8")
         inputs = {name: str(ROOT / "systems" / f"{name}.sys")
-                  for name in ("worked_example", "lines2", "cyclic4")}
+                  for name in ("worked_example", "lines2", "cyclic4", "three_spheres")}
         inputs["sphere_point"] = str(ROOT / "perfbench" / "inputs" / "sphere_point.sys")
-        inputs["three_spheres"] = str(tmp / "three_spheres.sys")
         for side in ("parent", "child"):
             (tmp / side).mkdir()
         for label, command, source, seed in run_set(inputs):

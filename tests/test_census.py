@@ -22,13 +22,16 @@ from polycascade.polynomials import load_system
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).resolve().parent / "data" / "census.json"
 
-# (system file, command, seeds)
+# (system file relative to the repository root, command, seeds)
 CASES = [
-    ("worked_example.sys", "cascade", (1, 2, 3)),
-    ("worked_example.sys", "solve", (1, 2, 3)),
-    ("lines2.sys", "cascade", (1, 2, 3)),
-    ("lines2.sys", "solve", (1, 2, 3)),
-    ("cyclic4.sys", "cascade", (1, 2, 3)),
+    ("systems/worked_example.sys", "cascade", (1, 2, 3)),
+    ("systems/worked_example.sys", "solve", (1, 2, 3)),
+    ("systems/lines2.sys", "cascade", (1, 2, 3)),
+    ("systems/lines2.sys", "solve", (1, 2, 3)),
+    ("systems/cyclic4.sys", "cascade", (1, 2, 3)),
+    ("systems/three_spheres.sys", "cascade", (1, 2, 3)),
+    ("perfbench/inputs/sphere_point.sys", "cascade", (1, 2, 3)),
+    ("perfbench/inputs/sphere_point.sys", "solve", (1, 2, 3)),
 ]
 
 
@@ -39,7 +42,7 @@ def _level(stats) -> dict:
 
 
 def census(system_file: str, command: str, seed: int) -> dict:
-    f = load_system(ROOT / "systems" / system_file)
+    f = load_system(ROOT / system_file)
     cfg = CascadeConfig(seed=seed)
     if command == "solve":
         out = solve_total_degree(f, cfg)
