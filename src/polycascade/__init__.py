@@ -2,8 +2,8 @@
 
 Finds all isolated solutions of a square polynomial system and witness
 points on its positive-dimensional solution components, by embedding the
-system with slack variables and generic hyperplane slices and cascading
-down one dimension at a time.
+system with generic hyperplane slices and cascading down one dimension at
+a time.
 """
 
 __version__ = "0.1.0"

@@ -1,13 +1,13 @@
 """Cascade driver: witness supersets and isolated solutions per level.
 
-The run solves the top embedded system from a total-degree start system,
-then walks the levels downward.  At each level the converged endpoints with
-vanishing slack form the witness superset for that dimension; the
-nonsingular endpoints with nonzero slack are recycled as start points for
-the next homotopy down.  Level 0 collects isolated solutions.  The top
-dimension of the solution set is the largest level whose verified witness
-superset is nonempty.  A plain total-degree solve is the same run with no
-slack levels: it starts at level 0, where E_0 is f itself.
+The run solves the top-level system from a total-degree start system, then
+walks the levels downward, tracking x alone (see embedding).  At each level
+the converged endpoints on all of its slices form the witness superset for
+that dimension; the nonsingular endpoints off them are recycled as start
+points for the next homotopy down.  Level 0 collects isolated solutions.
+The top dimension of the solution set is the largest level whose verified
+witness superset is nonempty.  A plain total-degree solve is the same run
+with no slices: it starts at level 0, where F_0 is f itself.
 
 Since no equation is identically zero the solution set has dimension at
 most n-1, so the cascade starts at level n-1; the level-n system can have
@@ -72,19 +72,21 @@ class SolutionClass(str, Enum):
     SINGULAR_UNRESOLVED = "singular_unresolved"
 
 
-def classify_endpoint(result: PathResult, level: int, cfg: CascadeConfig) -> SolutionClass:
-    """Assign a path endpoint to its bucket at the given level.
+def classify_endpoint(result: PathResult, slices: np.ndarray,
+                      cfg: CascadeConfig) -> SolutionClass:
+    """Assign a path endpoint to its bucket at the level of its slices.
 
-    A level-i endpoint ends in its i slack coordinates z_1..z_i, and it lies
-    on a component when all of them vanish.  Level-0 endpoints have no slack
-    and split into nonsingular (isolated solution candidates) and
-    unresolved.  Failed paths are unresolved by definition.
+    slices holds L_1..L_i at a level-i endpoint (the paper's slacks, up to
+    sign), and the endpoint lies on a component when all of them vanish.
+    Level-0 endpoints have no slices and split into nonsingular (isolated
+    solution candidates) and unresolved.  Failed paths are unresolved by
+    definition.
     """
     if result.status == PathStatus.DIVERGED:
         return SolutionClass.DIVERGED
     if result.status == PathStatus.FAILED:
         return SolutionClass.SINGULAR_UNRESOLVED
-    if level >= 1 and float(np.max(np.abs(result.endpoint[-level:]))) <= cfg.tol_z:
+    if len(slices) and float(np.max(np.abs(slices))) <= cfg.tol_z:
         return SolutionClass.ON_COMPONENT
     if result.condition <= cfg.cond_max and result.residual <= cfg.residual_tol:
         return SolutionClass.NONSINGULAR_SLACK
@@ -194,19 +196,15 @@ def verify_witness(x: np.ndarray, base: PolynomialSystem, params: ParameterSampl
                    level: int, cfg: CascadeConfig) -> dict:
     """Re-check a witness point against the base system and its slices.
 
-    Evaluates the residuals afresh and re-runs Newton refinement on the
-    embedded system from (x, z=0); a genuine witness stays put and keeps all
-    residuals below the class tolerance.
+    Evaluates f(x) and the slices afresh and re-runs Newton refinement on
+    F_level from x; a genuine witness stays put and keeps all residuals
+    below the class tolerance.
     """
     embedded = embed(base, params, level)
-    point = np.concatenate([x, np.zeros(level, dtype=np.complex128)])
-    # at z = 0 the top rows of E_level are f(x) and its slice rows L(x)
-    value = np.abs(embedded.evaluate(point))
-    residual = float(np.max(value[:base.n_vars]))
-    slice_residual = float(np.max(value[base.n_vars:], initial=0.0))
-    refined, _, _, _ = refine_endpoint(embedded.evaluate, embedded.jacobian, point,
-                                       cfg.tracker)
-    drift = float(np.max(np.abs(refined - point)))
+    residual = float(np.max(np.abs(base.evaluate(x))))
+    slice_residual = float(np.max(np.abs(params.slice_values(x, level)), initial=0.0))
+    refined, _, _, _ = refine_endpoint(embedded.evaluate, embedded.jacobian, x, cfg.tracker)
+    drift = float(np.max(np.abs(refined - x)))
     passed = (residual <= cfg.residual_tol
               and slice_residual <= cfg.residual_tol
               and drift <= cfg.cluster_tol)
@@ -223,20 +221,20 @@ def _validate_input(f: PolynomialSystem) -> None:
             raise ZeroPolynomialError(f"equation {k + 1} is identically zero")
 
 
-def _run(f: PolynomialSystem, cfg: CascadeConfig, slack: bool) -> CascadeOutput:
-    """Track from the top level down to level 0, where E_0 is f itself.
+def _run(f: PolynomialSystem, cfg: CascadeConfig, sliced: bool) -> CascadeOutput:
+    """Track from the top level down to level 0, where F_0 is f itself.
 
-    The top level is n-1 with slack and 0 without: a plain total-degree solve.
+    The top level is n-1 with slices and 0 without: a plain total-degree solve.
     """
     _validate_input(f)
     n = f.n_vars
     rng = RandomSource(cfg.seed)
-    params = sample_parameters(n, rng) if slack else None
-    top = n - 1 if slack else 0
+    params = sample_parameters(n, rng) if sliced else None
+    top = n - 1 if sliced else 0
 
     t0 = time.perf_counter()
     target = embed(f, params, top)
-    start = build_start_system(target, rng, slack_vars=top)
+    start = build_start_system(target, rng)
     gamma = rng.unit_complex()
     results = track_batch(StartHomotopy(target, start, gamma), list(start.roots()),
                           cfg.tracker, threads=cfg.threads)
@@ -247,7 +245,8 @@ def _run(f: PolynomialSystem, cfg: CascadeConfig, slack: bool) -> CascadeOutput:
     for level in range(top, -1, -1):
         by_class: dict = {c: [] for c in SolutionClass}
         for r in results:
-            by_class[classify_endpoint(r, level, cfg)].append(r)
+            slices = params.slice_values(r.endpoint, level) if level else ()
+            by_class[classify_endpoint(r, slices, cfg)].append(r)
         on_component = by_class[SolutionClass.ON_COMPONENT]
         regular = by_class[SolutionClass.NONSINGULAR_SLACK]
         if level:
@@ -283,10 +282,6 @@ def _run(f: PolynomialSystem, cfg: CascadeConfig, slack: bool) -> CascadeOutput:
                                       [r.endpoint for r in regular],
                                       cfg.tracker, threads=cfg.threads)
                 total_paths += len(results)
-                # z_level is exactly zero at converged endpoints (it is one
-                # of the refined equations); the slacks left decide the next level
-                for r in results:
-                    r.endpoint = r.endpoint[:-1]
 
     top_dimension = max((ws.level for ws in supersets if ws.points), default=None)
     if top_dimension is None and isolated:
@@ -301,9 +296,9 @@ def _run(f: PolynomialSystem, cfg: CascadeConfig, slack: bool) -> CascadeOutput:
 
 def run_cascade(f: PolynomialSystem, cfg: CascadeConfig) -> CascadeOutput:
     """Run the full cascade on a square system with no zero equations."""
-    return _run(f, cfg, slack=True)
+    return _run(f, cfg, sliced=True)
 
 
 def solve_total_degree(f: PolynomialSystem, cfg: CascadeConfig) -> CascadeOutput:
     """Plain total-degree homotopy against f itself, no embedding."""
-    return _run(f, cfg, slack=False)
+    return _run(f, cfg, sliced=False)

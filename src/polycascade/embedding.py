@@ -1,24 +1,22 @@
-"""Slack-variable embeddings and the homotopies between them.
+"""The cascade's level systems and the homotopies between them, in x alone.
 
-Level i embeds a square system f in n variables into the polynomial system
-E_i of n+i equations in the variables x, z_1..z_i:
-
-    rows 1..n:    f_k(x) + sum_j lambda_eff[k, j] * z_j
-    rows n+1..n+i: L_eff_j(x) + z_j
-
-E_i is written out as polynomials and compiled into the same monomial
-tables as any parsed system, so one evaluator serves f and every
-embedding.  The level-i cascade homotopy is E_i - (1 - s) * D, where D is
-the affine part of E_i made of the z_i terms of the top rows and L_eff_i:
-at s = 0 what is left is E_{i-1} with the extra row z_i.
+The paper's level-i embedding E_i of a square system f in n variables has
+the rows f(x) + sum_j lambda_j z_j and L_j(x) + z_j for the slices
+L_j(x) = c_j + a_j . x, j <= i.  Each slice row fixes z_j = -L_j(x), so E_i
+is the n equations F_i(x) = f(x) - sum_{j<=i} lambda_j L_j(x), and a level-i
+endpoint lies on a component when L_1(x)..L_i(x) vanish.  F_i is compiled
+into the same monomial tables as any parsed system, so one evaluator serves
+f and every level.  The level-i cascade homotopy E_i - (1 - s) * D, with z_i
+scaled by s, becomes H_i(x, s) = F_{i-1}(x) - s^2 lambda_i L_i(x): F_i at
+s = 1 and F_{i-1} at s = 0, with the same paths in x.
 
 The random multipliers and hyperplanes are drawn once per run and the
 unit-modulus accessory constant eta is multiplied into all of them up front
 (lambda_eff = eta*lambda, L_eff = eta*L), which keeps consecutive levels
-consistent: the t=0 endpoints of the level-i homotopy solve exactly the
-level-(i-1) embedded system with the same effective parameters.  A product
-of independent uniform-angle unit numbers is again uniform, so genericity
-is unaffected.
+consistent: the s=0 endpoints of the level-i homotopy solve exactly the
+level-(i-1) system with the same effective parameters.  A product of
+independent uniform-angle unit numbers is again uniform, so genericity is
+unaffected.
 
 Homotopies expose value / jacobian / s_derivative in the tracked real
 parameter s, which runs from 1 (start) to 0 (target).
@@ -44,8 +42,9 @@ class ParameterSample:
     """One run's random embedding data, regenerable from its seed.
 
     Hyperplane j is constants[j] + coefficients[j] . x, and lambda_matrix[k, j]
-    is the multiplier of slack z_{j+1} in equation k+1.  The _eff arrays
-    carry the eta-absorbed values actually used in systems.
+    is the multiplier of slice j+1 (of slack z_{j+1} in the paper's
+    embedding) in equation k+1.  The _eff arrays carry the eta-absorbed
+    values actually used in systems.
     """
 
     seed: int
@@ -70,6 +69,10 @@ class ParameterSample:
     def n(self) -> int:
         return self.lambda_matrix.shape[0]
 
+    def slice_values(self, x: np.ndarray, level: int) -> np.ndarray:
+        """The effective slices L_1(x)..L_level(x); empty at level 0."""
+        return self.eff_constants[:level] + self.eff_coefficients[:level] @ x
+
 
 def sample_parameters(n: int, rng: RandomSource) -> ParameterSample:
     """Draw hyperplanes, multiplier columns, and eta, all unit-modulus."""
@@ -89,7 +92,7 @@ def sample_parameters(n: int, rng: RandomSource) -> ParameterSample:
 
 
 class EmbeddedSystem:
-    """E_i as one compiled PolynomialSystem in x, z_1..z_i; level 0 is f itself."""
+    """F_i as one compiled PolynomialSystem in x; level 0 is f itself."""
 
     def __init__(self, base: PolynomialSystem, params: ParameterSample | None, level: int):
         if not 0 <= level <= base.n_vars:
@@ -101,24 +104,16 @@ class EmbeddedSystem:
             raise ValueError("only square systems can be embedded")
         n = base.n_vars
         self.level = level
-        self.dim = n + level
-
-        def unit(v: int) -> tuple:
-            return tuple(int(k == v) for k in range(self.dim))
-
-        pad = (0,) * level
-        rows = []
-        for k, f_k in enumerate(base.polys):
-            terms = {e + pad: c for e, c in f_k.terms.items()}
-            terms.update((unit(n + j), params.eff_lambda[k, j]) for j in range(level))
-            rows.append(Polynomial(self.dim, terms))
-        for j in range(level):
-            terms = {unit(v): params.eff_coefficients[j, v] for v in range(n)}
-            terms[(0,) * self.dim] = params.eff_constants[j]
-            terms[unit(n + j)] = 1.0
-            rows.append(Polynomial(self.dim, terms))
-        self._system = PolynomialSystem(
-            rows, base.var_names + tuple(f"z{j + 1}" for j in range(level)))
+        self.dim = n
+        rows = base.polys
+        if level:
+            # row k of sum_j lambda_j L_j(x) as [constant, x_1 .. x_n coefficients]
+            lam = params.eff_lambda[:, :level]
+            affine = np.column_stack([lam @ params.eff_constants[:level],
+                                      lam @ params.eff_coefficients[:level]])
+            exps = [(0,) * n] + [tuple(int(k == v) for k in range(n)) for v in range(n)]
+            rows = [f_k - Polynomial(n, dict(zip(exps, row))) for f_k, row in zip(rows, affine)]
+        self._system = PolynomialSystem(rows, base.var_names)
 
     def degrees(self) -> tuple[int, ...]:
         return self._system.degrees()
@@ -135,44 +130,34 @@ def embed(base: PolynomialSystem, params: ParameterSample | None, level: int) ->
 
 
 class CascadeHomotopy:
-    """Level transition i -> i-1: H(p, s) = E_i(p) - (1 - s) * D(p).
+    """Level transition i -> i-1: H(x, s) = F_{i-1}(x) - s^2 lambda_i L_i(x).
 
-    D(p) = M p + c is the affine part of E_i that s switches off: M holds
-    lambda_eff[:, i-1] (the z_i column of the top n rows) and the
-    coefficients of L_eff_i (the x part of the last row), and c holds the
-    constant of L_eff_i in the last entry.  value(point, 1) is E_i;
-    value(point, 0) is the level-(i-1) system on the first n+i-1 rows with
-    z_i alone on the last row, so nonsingular level-i endpoints with z_i
-    tracked to zero land on level-(i-1) solutions.
+    value(x, 1) is F_i up to rounding and value(x, 0) is F_{i-1} exactly, so
+    nonsingular level-i endpoints land on level-(i-1) solutions.
     """
 
     def __init__(self, base: PolynomialSystem, params: ParameterSample, level: int):
         if not 1 <= level <= base.n_vars:
             raise LevelOutOfRangeError(
                 f"cascade homotopy level {level} out of range for {base.n_vars} variables")
-        n = base.n_vars
         self.level = level
-        self.dim = n + level
-        self._upper = EmbeddedSystem(base, params, level)
+        self.dim = base.n_vars
+        self._params = params
         self._lower = EmbeddedSystem(base, params, level - 1)
-        self._m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        self._m[:n, -1] = params.eff_lambda[:, level - 1]
-        self._m[-1, :n] = params.eff_coefficients[level - 1]
-        self._c = np.zeros(self.dim, dtype=np.complex128)
-        self._c[-1] = params.eff_constants[level - 1]
+        self._lambda = params.eff_lambda[:, level - 1]
+        self._outer = np.outer(self._lambda, params.eff_coefficients[level - 1])
+
+    def _slice(self, point: np.ndarray) -> complex:
+        return self._params.slice_values(point, self.level)[-1]
 
     def value(self, point: np.ndarray, s: float) -> np.ndarray:
-        if s == 0.0:
-            # the target goes through the level-(i-1) embedding itself, so
-            # it equals that system bit for bit
-            return np.concatenate([self._lower.evaluate(point[:-1]), point[-1:]])
-        return self._upper.evaluate(point) - (1.0 - s) * (self._m @ point + self._c)
+        return self._lower.evaluate(point) - (s * s * self._slice(point)) * self._lambda
 
     def jacobian(self, point: np.ndarray, s: float) -> np.ndarray:
-        return self._upper.jacobian(point) - (1.0 - s) * self._m
+        return self._lower.jacobian(point) - (s * s) * self._outer
 
     def s_derivative(self, point: np.ndarray, s: float) -> np.ndarray:
-        return self._m @ point + self._c
+        return (-2.0 * s * self._slice(point)) * self._lambda
 
     def target_residual(self, point: np.ndarray) -> float:
         return float(np.max(np.abs(self.value(point, 0.0))))

@@ -169,9 +169,10 @@ def _fmt_cell(value, width: int) -> str:
 def render_cascade_table(report: dict) -> str:
     """Per-level path accounting in the four-bucket layout.
 
-    Columns: paths tracked, endpoints with all slacks zero, nonsingular
-    endpoints with nonzero slack (recycled downward; isolated solutions at
-    level 0), diverged paths, and singular/unresolved leftovers.
+    Columns: paths tracked, endpoints on all of the level's slices (slack
+    z = 0 in the paper's notation), nonsingular endpoints off them (recycled
+    downward; isolated solutions at level 0), diverged paths, and
+    singular/unresolved leftovers.
     """
     headers = ["system", "#paths", "z = 0", "z != 0", "-> inf", "failed", "time"]
     rows = []

@@ -4,9 +4,9 @@ The start system paired with a target of degrees (d_1..d_n) is
 
     g_k(x) = x_k^{d_k} - c_k,   |c_k| = 1 random,
 
-whose roots are all combinations of d_k-th roots of the c_k.  Slack
-variables appended by an embedding get the fixed start equation z - 1 = 0
-instead of a random constant, so their start value is exactly 1.
+whose roots are all combinations of d_k-th roots of the c_k.  Every level
+system of the cascade is n equations in the n variables x, so the same
+construction serves its top level and a plain solve.
 """
 
 from __future__ import annotations
@@ -82,30 +82,21 @@ class StartSystem:
             yield self.root(index)
 
 
-def build_start_system(target, rng: RandomSource, slack_vars: int = 0) -> StartSystem:
+def build_start_system(target, rng: RandomSource) -> StartSystem:
     """Build the total-degree start system for a target.
 
     Args:
-        target: PolynomialSystem-like with a degrees() method.  The
-            trailing slack_vars rows are treated as slack equations
-            regardless of their listed degree.
+        target: PolynomialSystem-like with a degrees() method.
         rng: source for the unit-modulus constants.
-        slack_vars: how many trailing equations are slack rows (z - 1 = 0).
 
     Raises:
-        ZeroPolynomialError: if any non-slack equation is identically zero
-            (degree sentinel -1).
+        ZeroPolynomialError: if any equation is identically zero (degree
+            sentinel -1).
     """
-    degs = list(target.degrees())
-    lead = len(degs) - slack_vars
-    if lead < 0:
-        raise ValueError("more slack variables than equations")
-    for k, d in enumerate(degs[:lead]):
+    degs = target.degrees()
+    for k, d in enumerate(degs):
         if d < 0:
             raise ZeroPolynomialError(f"equation {k + 1} is identically zero")
     # a nonzero-constant row still gets one path; it can only diverge
-    clamped = tuple(max(int(d), 1) for d in degs[:lead]) + (1,) * slack_vars
-    constants = np.empty(len(degs), dtype=np.complex128)
-    constants[:lead] = rng.unit_complex_array(lead)
-    constants[lead:] = 1.0
-    return StartSystem(degrees=clamped, constants=constants)
+    return StartSystem(degrees=tuple(max(int(d), 1) for d in degs),
+                       constants=rng.unit_complex_array(len(degs)))

@@ -63,22 +63,23 @@ def test_criterion_1_plain_solve_path_census():
 
 def test_criterion_2_embedded_system_census():
     # the level-1 embedding: 5 divergent, one multiplicity-2 witness cluster
-    # with vanishing slack, and 5 nonsingular endpoints (condition < 1e6)
-    # carrying nonzero slack; stable across three seeds
+    # with vanishing slack (on the slice), and 5 nonsingular endpoints
+    # (condition < 1e6) carrying nonzero slack; stable across three seeds
     f = parse_system(WORKED)
     cfg = CascadeConfig()
     for seed in (1, 2, 3):
         rng = RandomSource(seed)
         params = sample_parameters(2, rng)
         e1 = embed(f, params, 1)
-        start = build_start_system(e1, rng, slack_vars=1)
+        start = build_start_system(e1, rng)
         gamma = rng.unit_complex()
         results = track_batch(StartHomotopy(e1, start, gamma),
                               list(start.roots()), cfg.tracker)
         assert len(results) == 12
         buckets = {c: [] for c in SolutionClass}
         for r in results:
-            buckets[classify_endpoint(r, 1, cfg)].append(r)
+            slices = params.slice_values(r.endpoint, 1)
+            buckets[classify_endpoint(r, slices, cfg)].append(r)
         assert len(buckets[SolutionClass.DIVERGED]) == 5
         on_component = buckets[SolutionClass.ON_COMPONENT]
         assert len(on_component) == 2

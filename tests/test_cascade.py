@@ -1,36 +1,41 @@
 """Cascade orchestration: classification, clustering, and run invariants."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycascade import cascade
 from polycascade.cascade import (CascadeConfig, NonSquareSystemError,
                                  SolutionClass, classify_endpoint, cluster_points,
                                  cluster_witnesses, run_cascade,
                                  solve_total_degree, verify_witness)
-from polycascade.embedding import embed, sample_parameters
+from polycascade.embedding import StartHomotopy, embed, sample_parameters
 from polycascade.linalg import RandomSource
-from polycascade.polynomials import parse_system
+from polycascade.polynomials import load_system, parse_system
 from polycascade.start_systems import ZeroPolynomialError, build_start_system
 from polycascade.tracking import PathResult, PathStatus, TrackerConfig, track_batch
 
 from helpers import generic_square_systems_st
 
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 WORKED = "2\n*\nx1^2*x2;\nx1^2*(x2^2 + x1);\n"
 LINEAR = "2\n*\n2*x1 + 3*x2 - 1;\nx1 - x2 + 1;\n"
 
 
-def _result(status=PathStatus.CONVERGED, slack=0.0, residual=1e-14,
-            condition=10.0, endpoint=None):
-    # (x1, x2, z1, z2): the slacks of a level-1 or level-2 endpoint are its
-    # last coordinates, and slack sets the largest of them
+def _result(status=PathStatus.CONVERGED, residual=1e-14, condition=10.0, endpoint=None):
     if endpoint is None:
-        endpoint = np.array([0.3, -0.2, 0.0, slack], dtype=np.complex128)
+        endpoint = np.array([0.3, -0.2], dtype=np.complex128)
     return PathResult(endpoint=endpoint, status=status, residual=residual,
                       condition=condition, steps_taken=5, t_reached=0.0)
+
+
+def _slices(*values):
+    # the slice values L_1..L_i of a level-i endpoint; none at level 0
+    return np.array(values, dtype=np.complex128)
 
 
 class TestClassification:
@@ -38,38 +43,68 @@ class TestClassification:
 
     def test_diverged_passes_through(self):
         r = _result(status=PathStatus.DIVERGED, residual=np.inf, condition=np.inf)
-        assert classify_endpoint(r, 1, self.CFG) == SolutionClass.DIVERGED
-        assert classify_endpoint(r, 0, self.CFG) == SolutionClass.DIVERGED
+        assert classify_endpoint(r, _slices(0.0), self.CFG) == SolutionClass.DIVERGED
+        assert classify_endpoint(r, _slices(), self.CFG) == SolutionClass.DIVERGED
 
     def test_failed_is_unresolved(self):
         r = _result(status=PathStatus.FAILED, residual=1e-3)
-        assert classify_endpoint(r, 2, self.CFG) == SolutionClass.SINGULAR_UNRESOLVED
+        assert classify_endpoint(r, _slices(0.0, 0.0), self.CFG) == \
+            SolutionClass.SINGULAR_UNRESOLVED
 
     def test_exact_zero_slack_is_on_component(self):
-        r = _result(slack=0.0)
-        assert classify_endpoint(r, 1, self.CFG) == SolutionClass.ON_COMPONENT
+        r = _result()
+        assert classify_endpoint(r, _slices(0.0), self.CFG) == SolutionClass.ON_COMPONENT
+        assert classify_endpoint(r, _slices(0.0, 0.0), self.CFG) == SolutionClass.ON_COMPONENT
 
     def test_zero_slack_beats_bad_condition(self):
-        # a witness point may be singular for the embedded system; the slack
+        # a witness point may be singular for the level system; the slice
         # rule must fire before the condition gate
-        r = _result(slack=0.0, condition=1e12)
-        assert classify_endpoint(r, 1, self.CFG) == SolutionClass.ON_COMPONENT
+        r = _result(condition=1e12)
+        assert classify_endpoint(r, _slices(1e-12j), self.CFG) == SolutionClass.ON_COMPONENT
 
     def test_nonzero_slack_regular(self):
-        r = _result(slack=0.5)
-        assert classify_endpoint(r, 1, self.CFG) == SolutionClass.NONSINGULAR_SLACK
+        r = _result()
+        assert classify_endpoint(r, _slices(0.5), self.CFG) == SolutionClass.NONSINGULAR_SLACK
+        # every slice must vanish, not just the last one
+        assert classify_endpoint(r, _slices(0.5, 0.0), self.CFG) == \
+            SolutionClass.NONSINGULAR_SLACK
 
     def test_infinite_condition_large_slack_unresolved(self):
-        r = _result(slack=0.5, condition=np.inf)
-        assert classify_endpoint(r, 1, self.CFG) == SolutionClass.SINGULAR_UNRESOLVED
+        r = _result(condition=np.inf)
+        assert classify_endpoint(r, _slices(0.5), self.CFG) == \
+            SolutionClass.SINGULAR_UNRESOLVED
 
     def test_level_zero_ignores_slack_rule(self):
-        r = _result(slack=0.0, condition=10.0)
-        assert classify_endpoint(r, 0, self.CFG) == SolutionClass.NONSINGULAR_SLACK
+        r = _result(condition=10.0)
+        assert classify_endpoint(r, _slices(), self.CFG) == SolutionClass.NONSINGULAR_SLACK
 
     def test_residual_gate(self):
-        r = _result(slack=0.5, residual=1e-3)
-        assert classify_endpoint(r, 1, self.CFG) == SolutionClass.SINGULAR_UNRESOLVED
+        r = _result(residual=1e-3)
+        assert classify_endpoint(r, _slices(0.5), self.CFG) == \
+            SolutionClass.SINGULAR_UNRESOLVED
+
+
+@pytest.mark.parametrize("system_file", ["worked_example.sys", "cyclic4.sys"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_classification_margins(monkeypatch, system_file, seed):
+    # no verdict of a converged level-i endpoint hangs on tol_z: the slice
+    # values sit far below it on a component and far above it elsewhere
+    seen = []
+
+    def recording(result, slices, cfg):
+        verdict = classify_endpoint(result, slices, cfg)
+        if len(slices) and result.status == PathStatus.CONVERGED:
+            seen.append((verdict, float(np.max(np.abs(slices)))))
+        return verdict
+
+    monkeypatch.setattr(cascade, "classify_endpoint", recording)
+    cfg = CascadeConfig(seed=seed)
+    run_cascade(load_system(SYSTEMS / system_file), cfg)
+    on = [v for verdict, v in seen if verdict == SolutionClass.ON_COMPONENT]
+    off = [v for verdict, v in seen if verdict != SolutionClass.ON_COMPONENT]
+    assert on and off
+    assert max(on) <= 1e-3 * cfg.tol_z
+    assert min(off) >= 1e3 * cfg.tol_z
 
 
 class TestClustering:
@@ -201,22 +236,21 @@ def test_conservation_and_recycling(data):
 @given(st.data())
 def test_top_embedding_has_no_vanishing_slack(data):
     # embedding with as many slices as variables leaves no room for
-    # components: every converged path must keep some slack alive
+    # components: every converged path must stay off some slice
     system = data.draw(generic_square_systems_st(max_vars=2, max_degree=2))
     seed = data.draw(st.integers(0, 2**32 - 1))
     n = system.n_vars
     rng = RandomSource(seed)
     params = sample_parameters(n, rng)
     full = embed(system, params, n)
-    start = build_start_system(full, rng, slack_vars=n)
+    start = build_start_system(full, rng)
     gamma = rng.unit_complex()
-    from polycascade.embedding import StartHomotopy
     cfg = _cheap_config(seed)
     results = track_batch(StartHomotopy(full, start, gamma), list(start.roots()),
                           cfg.tracker)
     for r in results:
         if r.status == PathStatus.CONVERGED:
-            assert np.max(np.abs(r.endpoint[n:])) > cfg.tol_z
+            assert np.max(np.abs(params.slice_values(r.endpoint, n))) > cfg.tol_z
 
 
 @settings(max_examples=100)

@@ -1,4 +1,4 @@
-"""Slack-variable embeddings and the two homotopies built on them."""
+"""The cascade's systems F_i in x alone and the two homotopies built on them."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from polycascade.polynomials import parse_system
 from polycascade.start_systems import build_start_system
 
 from helpers import (fd_jacobian, points_st, reference_cascade,
-                     reference_embedding, systems_st)
+                     reference_embedding, slice_values, systems_st)
 
 WORKED = "2\n*\nx1^2*x2;\nx1^2*(x2^2 + x1);\n"
 
@@ -43,19 +43,21 @@ def test_embedded_structure_by_hand():
     f = parse_system(WORKED)
     params = _params(2, seed=3)
     e1 = embed(f, params, 1)
-    assert e1.dim == 3 and e1.level == 1
-    point = np.array([0.4 - 0.2j, 1.1 + 0.5j, -0.6 + 0.9j])
-    x, z = point[:2], point[2:]
-    top = f.evaluate(x) + params.eff_lambda[:, :1] @ z
-    slice_row = params.eff_constants[0] + params.eff_coefficients[0] @ x + z[0]
-    want = np.concatenate([top, [slice_row]])
-    assert np.max(np.abs(e1.evaluate(point) - want)) < 1e-15
+    assert e1.dim == 2 and e1.level == 1
+    x = np.array([0.4 - 0.2j, 1.1 + 0.5j])
+    want = f.evaluate(x) - params.eff_lambda[:, 0] * (
+        params.eff_constants[0] + params.eff_coefficients[0] @ x)
+    assert np.max(np.abs(e1.evaluate(x) - want)) < 1e-15
 
 
-def test_embedded_degrees_append_slack_rows():
+def test_embedded_degrees_are_the_base_degrees():
     f = parse_system(WORKED)
-    e2 = embed(f, _params(2), 2)
-    assert e2.degrees() == (3, 4, 1, 1)
+    for level in (0, 1, 2):
+        assert embed(f, _params(2), level).degrees() == (3, 4)
+    # a constant row gains the slices' linear terms
+    g = parse_system("2\n*\nx1 - 1;\n3;\n")
+    assert embed(g, _params(2), 0).degrees() == (1, 0)
+    assert embed(g, _params(2), 1).degrees() == (1, 1)
 
 
 @settings(max_examples=150)
@@ -66,7 +68,8 @@ def test_embedded_jacobian_matches_finite_differences(data):
     level = data.draw(st.integers(0, n))
     seed = data.draw(st.integers(0, 2**32 - 1))
     embedded = embed(system, _params(n, seed), level)
-    point = data.draw(points_st(n + level, scale=1.0))
+    assert embedded.dim == n
+    point = data.draw(points_st(n, scale=1.0))
     exact = embedded.jacobian(point)
     approx = fd_jacobian(embedded.evaluate, point, h=1e-6)
     scale = max(1.0, float(np.max(np.abs(exact))))
@@ -83,30 +86,31 @@ def test_cascade_homotopy_endpoints_exact(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     params = _params(n, seed)
     h = CascadeHomotopy(system, params, level)
-    point = data.draw(points_st(n + level, scale=1.0))
+    point = data.draw(points_st(n, scale=1.0))
 
-    upper = embed(system, params, level)
-    at_one = h.value(point, 1.0)
-    assert np.array_equal(at_one, upper.evaluate(point))
-
+    # the target is the level-(i-1) system bit for bit
     lower = embed(system, params, level - 1)
-    at_zero = h.value(point, 0.0)
-    want = np.concatenate([lower.evaluate(point[:-1]), [point[-1]]])
-    assert np.array_equal(at_zero, want)
+    assert np.array_equal(h.value(point, 0.0), lower.evaluate(point))
+    assert np.array_equal(h.jacobian(point, 0.0), lower.jacobian(point))
+    # the start is F_i up to rounding: F_i is compiled with its slice terms
+    # merged into f's, H sums them at run time
+    upper = embed(system, params, level)
+    _assert_close(h.value(point, 1.0), upper.evaluate(point))
+    _assert_close(h.jacobian(point, 1.0), upper.jacobian(point))
 
 
 @settings(max_examples=100)
 @given(st.data())
 def test_cascade_homotopy_is_convex_combination(data):
-    # H(., s) agrees with s*E_i + (1-s)*(E_{i-1}; z_i) up to roundoff
+    # H(., s) agrees with s^2*F_i + (1-s^2)*F_{i-1} up to roundoff
     system = data.draw(systems_st(n_vars=2, max_degree=2, max_terms=3))
     params = _params(2, data.draw(st.integers(0, 2**32 - 1)))
     h = CascadeHomotopy(system, params, 1)
-    point = data.draw(points_st(3, scale=1.0))
+    point = data.draw(points_st(2, scale=1.0))
     s = data.draw(st.integers(1, 99)) / 100.0
     upper = embed(system, params, 1).evaluate(point)
-    lower = np.concatenate([embed(system, params, 0).evaluate(point[:-1]), [point[-1]]])
-    want = s * upper + (1 - s) * lower
+    lower = embed(system, params, 0).evaluate(point)
+    want = s * s * upper + (1 - s * s) * lower
     got = h.value(point, s)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -114,36 +118,48 @@ def test_cascade_homotopy_is_convex_combination(data):
 
 def _assert_close(got, want):
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    scale = max(1.0, np.max(np.abs(want), initial=0.0))
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
 
 
 @settings(max_examples=150)
 @given(st.data())
 def test_compiled_embedding_matches_block_formulas(data):
+    # F_i and H_i are the paper's slack embeddings with the slacks solved
+    # from their slice rows: z = -L(x) in E_i, and z_j = -L_j(x) for j < i,
+    # z_i = -s*L_i(x) in the level-i cascade homotopy.  There the block
+    # references' slice rows vanish, their top rows are the compiled values,
+    # and the chain rule through z gives the compiled derivatives.
     system = data.draw(systems_st(max_degree=2, max_terms=3))
     n = system.n_vars
     level = data.draw(st.integers(0, n))
     params = _params(n, data.draw(st.integers(0, 2**32 - 1)))
-    point = data.draw(points_st(n + level))
-    value, jac = reference_embedding(system, params, level, point)
+    x = data.draw(points_st(n))
+    z = -slice_values(params, level, x)
+    value, jac = reference_embedding(system, params, level, np.concatenate([x, z]))
     embedded = embed(system, params, level)
-    _assert_close(embedded.evaluate(point), value)
-    _assert_close(embedded.jacobian(point), jac)
+    _assert_close(value[n:], np.zeros(level))
+    _assert_close(embedded.evaluate(x), value[:n])
+    # dz/dx = -jac[n:, :n], since the slice rows are z + L(x)
+    _assert_close(embedded.jacobian(x), jac[:n, :n] - jac[:n, n:] @ jac[n:, :n])
     if level == 0:
         return
     s = data.draw(st.floats(0.0, 1.0, exclude_min=True))
-    value, jac, ds = reference_cascade(system, params, level, point, s)
+    z[-1] *= s
+    value, jac, ds = reference_cascade(system, params, level, np.concatenate([x, z]), s)
     h = CascadeHomotopy(system, params, level)
-    _assert_close(h.value(point, s), value)
-    _assert_close(h.jacobian(point, s), jac)
-    _assert_close(h.s_derivative(point, s), ds)
+    _assert_close(value[n:], np.zeros(level))
+    _assert_close(h.value(x, s), value[:n])
+    _assert_close(h.jacobian(x, s), jac[:n, :n] - jac[:n, n:] @ jac[n:, :n])
+    # dz/ds = -ds[n:], since the last slice row is z_i + s*L_i(x)
+    _assert_close(h.s_derivative(x, s), ds[:n] - jac[:n, n:] @ ds[n:])
 
 
 def test_cascade_homotopy_jacobian_and_s_derivative():
     f = parse_system(WORKED)
     params = _params(2, seed=8)
     h = CascadeHomotopy(f, params, 1)
-    point = np.array([0.5 + 0.3j, -0.8 + 0.1j, 0.4 - 0.7j])
+    point = np.array([0.5 + 0.3j, -0.8 + 0.1j])
     for s in (0.9, 0.3, 0.0):
         exact = h.jacobian(point, s)
         approx = fd_jacobian(lambda p: h.value(p, s), point)
@@ -158,20 +174,19 @@ def test_start_homotopy_endpoints_exact():
     params = _params(2, seed=2)
     e1 = embed(f, params, 1)
     rng = RandomSource(11)
-    g = build_start_system(e1, rng, slack_vars=1)
+    g = build_start_system(e1, rng)
     gamma = rng.unit_complex()
     h = StartHomotopy(e1, g, gamma)
-    point = np.array([0.2 + 0.9j, -0.4 - 0.3j, 1.2 + 0.1j])
+    point = np.array([0.2 + 0.9j, -0.4 - 0.3j])
     assert np.array_equal(h.value(point, 0.0), e1.evaluate(point))
     assert np.array_equal(h.value(point, 1.0), gamma * g.evaluate(point))
 
 
 def test_start_homotopy_dimension_check():
-    f = parse_system(WORKED)
-    g = build_start_system(f, RandomSource(0))
-    e1 = embed(f, _params(2), 1)
+    g = build_start_system(parse_system("1\n*\nx1^2 - 1;\n"), RandomSource(0))
+    e1 = embed(parse_system(WORKED), _params(2), 1)
     with pytest.raises(ValueError):
-        StartHomotopy(e1, g, 1j)  # start has 2 vars, target needs 3
+        StartHomotopy(e1, g, 1j)  # start has 1 var, target needs 2
 
 
 @settings(max_examples=100)

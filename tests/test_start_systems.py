@@ -52,19 +52,6 @@ def test_unit_modulus_constants():
     assert np.max(np.abs(np.abs(g.constants) - 1.0)) < 1e-14
 
 
-def test_slack_rows_are_z_minus_one():
-    f = parse_system("2\n*\nx1^2 - x2;\nx2^2 - 1;\n")
-    rng = RandomSource(3)
-    embedded = embed(f, sample_parameters(2, rng), 2)
-    g = build_start_system(embedded, rng, slack_vars=2)
-    assert g.degrees == (2, 2, 1, 1)
-    # slack start equations are z - 1 = 0: constant exactly 1, root exactly 1
-    assert g.constants[2] == 1.0 + 0.0j
-    assert g.constants[3] == 1.0 + 0.0j
-    root = g.root(0)
-    assert root[2] == 1.0 + 0.0j and root[3] == 1.0 + 0.0j
-
-
 def test_degree_zero_rows_clamp_to_one():
     f = parse_system("2\n*\nx1 + x2 - 3;\n5;\n")
     g = build_start_system(f, RandomSource(2))
@@ -89,17 +76,18 @@ def test_jacobian_matches_finite_differences():
 def test_start_roots_residual_and_count(data):
     system = data.draw(systems_st(max_degree=3, max_terms=3))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    slack = data.draw(st.integers(0, min(2, system.n_vars)))
+    level = data.draw(st.integers(0, min(2, system.n_vars)))
     rng = RandomSource(seed)
-    if slack:
-        target = embed(system, sample_parameters(system.n_vars, rng), slack)
+    if level:
+        target = embed(system, sample_parameters(system.n_vars, rng), level)
     else:
         target = system
     try:
-        g = build_start_system(target, rng, slack_vars=slack)
+        g = build_start_system(target, rng)
     except ZeroPolynomialError:
-        assert any(not p.terms for p in system.polys) and slack == 0
+        assert any(not p.terms for p in system.polys) and level == 0
         return
+    assert g.n == system.n_vars
     expected = 1
     for d in system.degrees():
         expected *= max(d, 1)
