@@ -4,13 +4,14 @@
     git archive <parent> | tar -x -C /tmp/parent
     python3 scripts/compare_runs.py /tmp/parent
 
-Runs a fixed set of 24 commands through ``python -m polycascade.cli`` in
+Runs a fixed set of 25 commands through ``python -m polycascade.cli`` in
 both checkouts, on the same input files: worked_example, lines2 and
 sphere_point under ``solve`` and ``cascade``, plus cyclic-4 and the unit
-sphere written three times under ``cascade``, each at seeds 1-3.  For every
-run it prints whether the census, the report, the witness file and the
-table-format stdout agree, and whether ``verify`` accepts this checkout's
-report.
+sphere written three times under ``cascade``, each at seeds 1-3, and the
+cyclic-5 cascade at seed 1 (about 10 s per checkout), its input written by
+``scripts/cyclic.py`` into the temporary directory.  For every run it prints
+whether the census, the report, the witness file and the table-format stdout
+agree, and whether ``verify`` accepts this checkout's report.
 
 The census is the per-level class counts, the witness multiplicities and
 filtered counts, the isolated and unresolved counts, the top dimension and
@@ -31,6 +32,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from cyclic import cyclic  # noqa: E402  (this script's directory is on sys.path)
 from polycascade.report import canonical_dumps, strip_timing_fields  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -47,6 +49,7 @@ def run_set(inputs: dict) -> list:
             runs += [(f"{name} {command} seed {s}", command, inputs[name], s) for s in SEEDS]
     for name in ("cyclic4", "three_spheres"):
         runs += [(f"{name} cascade seed {s}", "cascade", inputs[name], s) for s in SEEDS]
+    runs.append(("cyclic5 cascade seed 1", "cascade", inputs["cyclic5"], 1))
     return runs
 
 
@@ -103,6 +106,8 @@ def main() -> int:
         inputs = {name: str(ROOT / "systems" / f"{name}.sys")
                   for name in ("worked_example", "lines2", "cyclic4", "three_spheres")}
         inputs["sphere_point"] = str(ROOT / "perfbench" / "inputs" / "sphere_point.sys")
+        inputs["cyclic5"] = str(tmp / "cyclic5.sys")
+        (tmp / "cyclic5.sys").write_text(cyclic(5), encoding="utf-8")
         for side in ("parent", "child"):
             (tmp / side).mkdir()
         for label, command, source, seed in run_set(inputs):

@@ -1,13 +1,13 @@
 """Cascade driver: witness supersets and isolated solutions per level.
 
-The run solves the top-level system from a total-degree start system, then
-walks the levels downward, tracking x alone (see embedding).  At each level
-the converged endpoints on all of its slices form the witness superset for
-that dimension; the nonsingular endpoints off them are recycled as start
-points for the next homotopy down.  Level 0 collects isolated solutions.
+The run makes one pass per level, from the top level down, tracking x alone
+(see embedding).  The top pass starts from a total-degree start system, and
+each pass below it from the nonsingular endpoints of the pass above, off its
+slices.  At each level the converged endpoints on all of its slices form the
+witness superset for that dimension; level 0 collects isolated solutions.
 The top dimension of the solution set is the largest level whose verified
 witness superset is nonempty.  A plain total-degree solve is the same run
-with no slices: it starts at level 0, where F_0 is f itself.
+with no slices: its one pass is level 0, where F_0 is f itself.
 
 Since no equation is identically zero the solution set has dimension at
 most n-1, so the cascade starts at level n-1; the level-n system can have
@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .embedding import (CascadeHomotopy, ParameterSample, StartHomotopy, embed,
-                        sample_parameters)
+from .embedding import (CascadeHomotopy, EmbeddedSystem, ParameterSample,
+                        StartHomotopy, embed, sample_parameters)
 from .linalg import RandomSource
 from .polynomials import PolynomialSystem
 from .start_systems import ZeroPolynomialError, build_start_system
@@ -174,36 +174,34 @@ def cluster_points(points: list, tol: float) -> list:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
-def _witness(result: PathResult, n_vars: int, multiplicity: int) -> WitnessPoint:
-    return WitnessPoint(x=np.asarray(result.endpoint[:n_vars]).copy(),
+def _witness(result: PathResult, multiplicity: int) -> WitnessPoint:
+    return WitnessPoint(x=result.endpoint.copy(),
                         multiplicity=multiplicity, residual=float(result.residual),
                         condition=float(result.condition))
 
 
-def cluster_witnesses(results: list, n_vars: int, cfg: CascadeConfig) -> list:
+def cluster_witnesses(results: list, cfg: CascadeConfig) -> list:
     """Merge coincident endpoints; multiplicity is the cluster size.
 
     The representative is the residual-minimizing member, already refined by
     the tracker's endgame.
     """
-    xs = [np.asarray(r.endpoint[:n_vars]) for r in results]
-    return [_witness(min((results[k] for k in group), key=lambda r: r.residual),
-                     n_vars, len(group))
+    xs = [r.endpoint for r in results]
+    return [_witness(min((results[k] for k in group), key=lambda r: r.residual), len(group))
             for group in cluster_points(xs, cfg.cluster_tol)]
 
 
-def verify_witness(x: np.ndarray, base: PolynomialSystem, params: ParameterSample,
-                   level: int, cfg: CascadeConfig) -> dict:
-    """Re-check a witness point against the base system and its slices.
+def verify_witness(x: np.ndarray, system: EmbeddedSystem, cfg: CascadeConfig) -> dict:
+    """Re-check a witness point against a compiled level system F_level.
 
-    Evaluates f(x) and the slices afresh and re-runs Newton refinement on
-    F_level from x; a genuine witness stays put and keeps all residuals
-    below the class tolerance.
+    Evaluates f(x) and the level's slices afresh and re-runs Newton
+    refinement on F_level from x; a genuine witness stays put and keeps all
+    residuals below the class tolerance.
     """
-    embedded = embed(base, params, level)
-    residual = float(np.max(np.abs(base.evaluate(x))))
-    slice_residual = float(np.max(np.abs(params.slice_values(x, level)), initial=0.0))
-    refined, _, _, _ = refine_endpoint(embedded.evaluate, embedded.jacobian, x, cfg.tracker)
+    residual = float(np.max(np.abs(system.base.evaluate(x))))
+    slice_residual = float(np.max(np.abs(system.params.slice_values(x, system.level)),
+                                  initial=0.0))
+    refined, _, _, _ = refine_endpoint(system.evaluate, system.jacobian, x, cfg.tracker)
     drift = float(np.max(np.abs(refined - x)))
     passed = (residual <= cfg.residual_tol
               and slice_residual <= cfg.residual_tol
@@ -225,24 +223,26 @@ def _run(f: PolynomialSystem, cfg: CascadeConfig, sliced: bool) -> CascadeOutput
     """Track from the top level down to level 0, where F_0 is f itself.
 
     The top level is n-1 with slices and 0 without: a plain total-degree solve.
+    Each level system F_i is compiled once, for its homotopy and its verifier.
     """
     _validate_input(f)
-    n = f.n_vars
     rng = RandomSource(cfg.seed)
-    params = sample_parameters(n, rng) if sliced else None
-    top = n - 1 if sliced else 0
+    params = sample_parameters(f.n_vars, rng) if sliced else None
+    top = f.n_vars - 1 if sliced else 0
 
     t0 = time.perf_counter()
-    target = embed(f, params, top)
-    start = build_start_system(target, rng)
+    system = embed(f, params, top)
+    start = build_start_system(system, rng)
     gamma = rng.unit_complex()
-    results = track_batch(StartHomotopy(target, start, gamma), list(start.roots()),
-                          cfg.tracker, threads=cfg.threads)
-    total_paths = len(results)
-
+    homotopy = StartHomotopy(system, start, gamma)
+    starts = list(start.roots())
     supersets = []
     stats = []
     for level in range(top, -1, -1):
+        # with no nonsingular endpoints above, a level gets an empty row
+        results = []
+        if starts:
+            results = track_batch(homotopy, starts, cfg.tracker, threads=cfg.threads)
         by_class: dict = {c: [] for c in SolutionClass}
         for r in results:
             slices = params.slice_values(r.endpoint, level) if level else ()
@@ -250,9 +250,8 @@ def _run(f: PolynomialSystem, cfg: CascadeConfig, sliced: bool) -> CascadeOutput
         on_component = by_class[SolutionClass.ON_COMPONENT]
         regular = by_class[SolutionClass.NONSINGULAR_SLACK]
         if level:
-            witnesses = cluster_witnesses(on_component, n, cfg)
-            kept = [w for w in witnesses
-                    if verify_witness(w.x, f, params, level, cfg)["pass"]]
+            witnesses = cluster_witnesses(on_component, cfg)
+            kept = [w for w in witnesses if verify_witness(w.x, system, cfg)["pass"]]
             supersets.append(WitnessSuperset(level=level, points=kept,
                                              filtered_out=len(witnesses) - len(kept)))
         else:
@@ -264,8 +263,8 @@ def _run(f: PolynomialSystem, cfg: CascadeConfig, sliced: bool) -> CascadeOutput
             pool = by_class[SolutionClass.SINGULAR_UNRESOLVED]
             pool += [regular[k] for g in groups if len(g) > 1 for k in g]
             regular = [regular[g[0]] for g in groups if len(g) == 1]
-            isolated = [_witness(r, n, 1) for r in regular]
-            unresolved0 = cluster_witnesses(pool, n, cfg)
+            isolated = [_witness(r, 1) for r in regular]
+            unresolved0 = cluster_witnesses(pool, cfg)
         diverged = len(by_class[SolutionClass.DIVERGED])
         stats.append(LevelStats(
             level=level, n_paths=len(results), on_component=len(on_component),
@@ -274,14 +273,10 @@ def _run(f: PolynomialSystem, cfg: CascadeConfig, sliced: bool) -> CascadeOutput
             wall_ms=(time.perf_counter() - t0) * 1000.0))
 
         if level:
-            # with no nonsingular endpoints the lower levels get empty rows
             t0 = time.perf_counter()
-            results = []
-            if regular:
-                results = track_batch(CascadeHomotopy(f, params, level),
-                                      [r.endpoint for r in regular],
-                                      cfg.tracker, threads=cfg.threads)
-                total_paths += len(results)
+            system = embed(f, params, level - 1)
+            homotopy = CascadeHomotopy(system)
+            starts = [r.endpoint for r in regular]
 
     top_dimension = max((ws.level for ws in supersets if ws.points), default=None)
     if top_dimension is None and isolated:
@@ -291,7 +286,7 @@ def _run(f: PolynomialSystem, cfg: CascadeConfig, sliced: bool) -> CascadeOutput
         supersets=supersets, isolated_solutions=isolated,
         unresolved_level0=unresolved0, stats=stats, top_dimension=top_dimension,
         parameters=params, gamma=gamma, start_constants=start.constants.copy(),
-        total_paths=total_paths, seed=cfg.seed, results=results)
+        total_paths=sum(row.n_paths for row in stats), seed=cfg.seed, results=results)
 
 
 def run_cascade(f: PolynomialSystem, cfg: CascadeConfig) -> CascadeOutput:

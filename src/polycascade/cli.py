@@ -18,6 +18,7 @@ import sys
 from . import __version__
 from .cascade import (CascadeConfig, NonSquareSystemError, run_cascade,
                       solve_total_degree, verify_witness)
+from .embedding import embed
 from .polynomials import ParseError, parse_system
 from .report import (build_cascade_report, build_solve_report, canonical_dumps,
                      decode_report, load_report, render_cascade_summary,
@@ -130,14 +131,17 @@ def cmd_verify(args) -> int:
     failures = 0
     checked = 0
     for level, points in witness_sets:
+        # decode_report gives every point the parameters' length
+        matched = points and params.n == system.n_vars
+        embedded = embed(system, params, level) if matched else None
         for idx, w in enumerate(points):
             checked += 1
-            if w.shape[0] != system.n_vars:
+            if embedded is None:
                 print(f"dim {level} point {idx}: FAIL "
                       f"(dimension mismatch with target system)")
                 failures += 1
                 continue
-            check = verify_witness(w, system, params, level, cfg)
+            check = verify_witness(w, embedded, cfg)
             verdict = "PASS" if check["pass"] else "FAIL"
             print(f"dim {level} point {idx}: {verdict} (residual {check['residual']:.2e}, "
                   f"slice {check['slice_residual']:.2e}, drift {check['drift']:.2e})")

@@ -103,6 +103,10 @@ class EmbeddedSystem:
         if not base.is_square():
             raise ValueError("only square systems can be embedded")
         n = base.n_vars
+        if params is not None and params.n != n:
+            raise DimensionMismatchError(f"{params.n}-variable parameters for {n} variables")
+        self.base = base
+        self.params = params
         self.level = level
         self.dim = n
         rows = base.polys
@@ -113,7 +117,7 @@ class EmbeddedSystem:
                                       lam @ params.eff_coefficients[:level]])
             exps = [(0,) * n] + [tuple(int(k == v) for k in range(n)) for v in range(n)]
             rows = [f_k - Polynomial(n, dict(zip(exps, row))) for f_k, row in zip(rows, affine)]
-        self._system = PolynomialSystem(rows, base.var_names)
+        self._system = PolynomialSystem(rows, base.var_names) if level else base
 
     def degrees(self) -> tuple[int, ...]:
         return self._system.degrees()
@@ -136,19 +140,18 @@ class CascadeHomotopy:
     nonsingular level-i endpoints land on level-(i-1) solutions.
     """
 
-    def __init__(self, base: PolynomialSystem, params: ParameterSample, level: int):
-        if not 1 <= level <= base.n_vars:
+    def __init__(self, lower: EmbeddedSystem):
+        self.level = lower.level + 1
+        if self.level > lower.dim:
             raise LevelOutOfRangeError(
-                f"cascade homotopy level {level} out of range for {base.n_vars} variables")
-        self.level = level
-        self.dim = base.n_vars
-        self._params = params
-        self._lower = EmbeddedSystem(base, params, level - 1)
-        self._lambda = params.eff_lambda[:, level - 1]
-        self._outer = np.outer(self._lambda, params.eff_coefficients[level - 1])
+                f"cascade homotopy level {self.level} out of range for {lower.dim} variables")
+        self.dim = lower.dim
+        self._lower = lower
+        self._lambda = lower.params.eff_lambda[:, lower.level]
+        self._outer = np.outer(self._lambda, lower.params.eff_coefficients[lower.level])
 
     def _slice(self, point: np.ndarray) -> complex:
-        return self._params.slice_values(point, self.level)[-1]
+        return self._lower.params.slice_values(point, self.level)[-1]
 
     def value(self, point: np.ndarray, s: float) -> np.ndarray:
         return self._lower.evaluate(point) - (s * s * self._slice(point)) * self._lambda
@@ -181,14 +184,12 @@ class StartHomotopy:
         self.dim = target.dim
 
     def value(self, point: np.ndarray, s: float) -> np.ndarray:
-        point = np.asarray(point, dtype=np.complex128)
         if s == 0.0:
             return self.target.evaluate(point)
         return self.gamma * s * self.start.evaluate(point) \
             + (1.0 - s) * self.target.evaluate(point)
 
     def jacobian(self, point: np.ndarray, s: float) -> np.ndarray:
-        point = np.asarray(point, dtype=np.complex128)
         if s == 0.0:
             return self.target.jacobian(point)
         out = (1.0 - s) * self.target.jacobian(point)
@@ -197,7 +198,6 @@ class StartHomotopy:
         return out
 
     def s_derivative(self, point: np.ndarray, s: float) -> np.ndarray:
-        point = np.asarray(point, dtype=np.complex128)
         return self.gamma * self.start.evaluate(point) - self.target.evaluate(point)
 
     def target_residual(self, point: np.ndarray) -> float:

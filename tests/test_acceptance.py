@@ -83,7 +83,7 @@ def test_criterion_2_embedded_system_census():
         assert len(buckets[SolutionClass.DIVERGED]) == 5
         on_component = buckets[SolutionClass.ON_COMPONENT]
         assert len(on_component) == 2
-        witnesses = cluster_witnesses(on_component, 2, cfg)
+        witnesses = cluster_witnesses(on_component, cfg)
         assert len(witnesses) == 1 and witnesses[0].multiplicity == 2
         regular = buckets[SolutionClass.NONSINGULAR_SLACK]
         assert len(regular) == 5

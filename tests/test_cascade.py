@@ -15,7 +15,7 @@ from polycascade.cascade import (CascadeConfig, NonSquareSystemError,
                                  solve_total_degree, verify_witness)
 from polycascade.embedding import StartHomotopy, embed, sample_parameters
 from polycascade.linalg import RandomSource
-from polycascade.polynomials import load_system, parse_system
+from polycascade.polynomials import PolynomialSystem, load_system, parse_system
 from polycascade.start_systems import ZeroPolynomialError, build_start_system
 from polycascade.tracking import PathResult, PathStatus, TrackerConfig, track_batch
 
@@ -122,7 +122,7 @@ class TestClustering:
             _result(endpoint=np.array([1.0 + 0j, 0j]), residual=1e-16),
             _result(endpoint=np.array([5.0 + 0j, 0j]), residual=1e-12),
         ]
-        points = cluster_witnesses(results, 2, CascadeConfig())
+        points = cluster_witnesses(results, CascadeConfig())
         assert len(points) == 2
         pair = next(p for p in points if p.multiplicity == 2)
         assert pair.residual == 1e-16
@@ -177,10 +177,36 @@ def test_verify_witness_accepts_true_point_rejects_perturbed():
     cfg = CascadeConfig(seed=1)
     out = run_cascade(f, cfg)
     w = next(ws for ws in out.supersets if ws.level == 1).points[0]
-    good = verify_witness(w.x, f, out.parameters, 1, cfg)
+    f_1 = embed(f, out.parameters, 1)
+    good = verify_witness(w.x, f_1, cfg)
     assert good["pass"]
-    bad = verify_witness(w.x + 1e-3, f, out.parameters, 1, cfg)
+    bad = verify_witness(w.x + 1e-3, f_1, cfg)
     assert not bad["pass"]
+
+
+def test_each_level_system_is_compiled_once(monkeypatch):
+    # F_{n-1}..F_1 are compiled once per run, F_0 is f's own tables, and the
+    # verifier works on the compiled system it is given
+    f = load_system(SYSTEMS / "cyclic4.sys")
+    built = []
+    init = PolynomialSystem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolynomialSystem, "__init__", counting_init)
+    cfg = CascadeConfig(seed=1)
+    out = run_cascade(f, cfg)
+    assert len(built) == f.n_vars - 1
+    built.clear()
+    solve_total_degree(f, cfg)
+    assert built == []
+    f_1 = embed(f, out.parameters, 1)
+    built.clear()
+    points = next(ws for ws in out.supersets if ws.level == 1).points
+    assert points and all(verify_witness(w.x, f_1, cfg)["pass"] for w in points)
+    assert built == []
 
 
 def test_fresh_slice_reproduces_geometry():

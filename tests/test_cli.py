@@ -148,6 +148,21 @@ def test_verify_against_unrelated_system_fails(worked_file, linear_file,
     assert "FAIL" in out
 
 
+def test_verify_against_other_variable_count_fails(worked_file, tmp_path, capsys):
+    report_path = str(tmp_path / "run.json")
+    assert main(["cascade", worked_file, "--seed", "1",
+                 "--report", report_path]) == 0
+    three = tmp_path / "three.sys"
+    three.write_text("3\n*\nx1 - 1;\nx2 - 1;\nx3 - 1;\n")
+    capsys.readouterr()
+    code = main(["verify", report_path, "--against", str(three)])
+    out = capsys.readouterr().out
+    assert code == 5
+    assert out.splitlines() == [
+        "dim 1 point 0: FAIL (dimension mismatch with target system)",
+        "0/1 witness points verified"]
+
+
 def test_verify_report_without_witnesses(linear_file, tmp_path, capsys):
     report_path = str(tmp_path / "run.json")
     assert main(["cascade", linear_file, "--seed", "2",

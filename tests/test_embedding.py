@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from polycascade.embedding import (CascadeHomotopy, LevelOutOfRangeError,
                                    StartHomotopy, embed, sample_parameters)
 from polycascade.linalg import RandomSource
-from polycascade.polynomials import parse_system
+from polycascade.polynomials import DimensionMismatchError, parse_system
 from polycascade.start_systems import build_start_system
 
 from helpers import (fd_jacobian, points_st, reference_cascade,
@@ -36,7 +36,17 @@ def test_level_bounds_enforced():
     with pytest.raises(LevelOutOfRangeError):
         embed(f, _params(2), -1)
     with pytest.raises(LevelOutOfRangeError):
-        CascadeHomotopy(f, _params(2), 0)
+        CascadeHomotopy(embed(f, _params(2), 2))  # would start at level 3
+
+
+@pytest.mark.parametrize("sample_vars", [1, 3])
+def test_parameter_sample_must_match_the_variables(sample_vars):
+    # zip over f's rows and the multiplier rows would otherwise truncate:
+    # one sampled variable gave a one-equation F_1, three gave wrong rows
+    f = parse_system(WORKED)
+    for level in (0, 1, 2):
+        with pytest.raises(DimensionMismatchError):
+            embed(f, _params(sample_vars), level)
 
 
 def test_embedded_structure_by_hand():
@@ -85,11 +95,11 @@ def test_cascade_homotopy_endpoints_exact(data):
     level = data.draw(st.integers(1, n))
     seed = data.draw(st.integers(0, 2**32 - 1))
     params = _params(n, seed)
-    h = CascadeHomotopy(system, params, level)
+    lower = embed(system, params, level - 1)
+    h = CascadeHomotopy(lower)
     point = data.draw(points_st(n, scale=1.0))
 
     # the target is the level-(i-1) system bit for bit
-    lower = embed(system, params, level - 1)
     assert np.array_equal(h.value(point, 0.0), lower.evaluate(point))
     assert np.array_equal(h.jacobian(point, 0.0), lower.jacobian(point))
     # the start is F_i up to rounding: F_i is compiled with its slice terms
@@ -105,7 +115,7 @@ def test_cascade_homotopy_is_convex_combination(data):
     # H(., s) agrees with s^2*F_i + (1-s^2)*F_{i-1} up to roundoff
     system = data.draw(systems_st(n_vars=2, max_degree=2, max_terms=3))
     params = _params(2, data.draw(st.integers(0, 2**32 - 1)))
-    h = CascadeHomotopy(system, params, 1)
+    h = CascadeHomotopy(embed(system, params, 0))
     point = data.draw(points_st(2, scale=1.0))
     s = data.draw(st.integers(1, 99)) / 100.0
     upper = embed(system, params, 1).evaluate(point)
@@ -147,7 +157,7 @@ def test_compiled_embedding_matches_block_formulas(data):
     s = data.draw(st.floats(0.0, 1.0, exclude_min=True))
     z[-1] *= s
     value, jac, ds = reference_cascade(system, params, level, np.concatenate([x, z]), s)
-    h = CascadeHomotopy(system, params, level)
+    h = CascadeHomotopy(embed(system, params, level - 1))
     _assert_close(value[n:], np.zeros(level))
     _assert_close(h.value(x, s), value[:n])
     _assert_close(h.jacobian(x, s), jac[:n, :n] - jac[:n, n:] @ jac[n:, :n])
@@ -158,7 +168,7 @@ def test_compiled_embedding_matches_block_formulas(data):
 def test_cascade_homotopy_jacobian_and_s_derivative():
     f = parse_system(WORKED)
     params = _params(2, seed=8)
-    h = CascadeHomotopy(f, params, 1)
+    h = CascadeHomotopy(embed(f, params, 0))
     point = np.array([0.5 + 0.3j, -0.8 + 0.1j])
     for s in (0.9, 0.3, 0.0):
         exact = h.jacobian(point, s)

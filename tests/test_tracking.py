@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycascade.embedding import StartHomotopy, embed
+from polycascade import tracking
+from polycascade.embedding import (CascadeHomotopy, StartHomotopy, embed,
+                                   sample_parameters)
 from polycascade.linalg import RandomSource, SingularMatrixError
 from polycascade.polynomials import parse_system
-from polycascade.start_systems import build_start_system
+from polycascade.start_systems import StartSystem, build_start_system
 from polycascade.tracking import (PathStatus, TrackerConfig, euler_predict,
                                   newton_correct, refine_endpoint, track_batch,
                                   track_path)
@@ -263,3 +265,63 @@ def test_newton_with_non_finite_jacobian_does_not_converge(bad, dim):
     x = np.full(dim, 1.5 + 0.1j)
     _, _, converged = newton_correct(homotopy, x, 0.5, TrackerConfig())
     assert not converged
+
+
+def _quadratic_start():
+    homotopy, g = _quadratic_homotopy(seed=3)
+    return homotopy, g.root(0)
+
+
+def _level_one_start():
+    # the level-1 -> 0 homotopy of a linear system, from F_1's one root
+    f = parse_system("2\n*\n2*x1 + 3*x2 - 1;\nx1 - x2 + 1;\n")
+    params = sample_parameters(2, RandomSource(5))
+    f_1 = embed(f, params, 1)
+    origin = np.zeros(2, dtype=np.complex128)
+    root = np.linalg.solve(f_1.jacobian(origin), -f_1.evaluate(origin))
+    return CascadeHomotopy(embed(f, params, 0)), root
+
+
+@pytest.mark.parametrize("build", [_quadratic_start, _level_one_start])
+def test_attempt_cap_fails_the_path(monkeypatch, build):
+    homotopy, start = build()
+    monkeypatch.setattr(tracking, "_MAX_ATTEMPTS", 3)
+    result = track_path(homotopy, start, TrackerConfig())
+    assert result.status == PathStatus.FAILED
+    assert result.steps_taken <= 3
+    assert 0.0 < result.t_reached < 1.0
+    # failed() reports the target residual where the path stopped
+    assert result.condition == np.inf
+    assert 0.0 < result.residual == homotopy.target_residual(result.endpoint) < np.inf
+
+
+def _line_to_100():
+    # x1 - 100 from x1 - 1 with gamma = 1: the path is x(s) = s + 100*(1 - s)
+    target = embed(parse_system("1\n*\nx1 - 100;\n"), None, 0)
+    start = StartSystem(degrees=(1,), constants=np.array([1.0 + 0j]))
+    return StartHomotopy(target, start, 1.0), start.root(0)
+
+
+def test_landing_that_jumps_basins_fails_at_the_tracked_point():
+    # the endgame stops at s = 0.5, x = 50.5; Newton lands on 100, a drift
+    # of 49.5 against the allowed 0.25 * (1 + 50.5)
+    homotopy, start = _line_to_100()
+    result = track_path(homotopy, start, TrackerConfig(t_endgame=0.5))
+    assert result.status == PathStatus.FAILED
+    assert result.t_reached == 0.5
+    assert abs(result.endpoint[0] - 50.5) < 1e-9
+    assert result.condition == np.inf
+    assert abs(result.residual - 49.5) < 1e-9
+
+
+def test_landing_short_of_tolerance_fails_with_its_residual():
+    # one refinement step from s = 1e-2 leaves a residual far above newton_tol
+    homotopy, start = _quadratic_start()
+    cfg = TrackerConfig(t_endgame=1e-2, endpoint_refine_iters=1)
+    result = track_path(homotopy, start, cfg)
+    assert result.status == PathStatus.FAILED
+    assert result.t_reached == 1e-2
+    assert abs(abs(result.endpoint[0]) - 2.0) < 1e-2
+    assert 20.0 * cfg.newton_tol < result.residual < 1e-2
+    assert result.residual == homotopy.target_residual(result.endpoint)
+    assert result.condition < 10.0
