@@ -302,6 +302,9 @@ def test_seed_determinism(data):
 
 
 def test_config_validation_and_round_trip():
+    for name in ("tol_z", "cluster_tol", "residual_tol"):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            CascadeConfig(**{name: 0.0})
     with pytest.raises(ValueError):
         CascadeConfig(tol_z=1e-3, cluster_tol=1e-6)  # must be below cluster_tol
     with pytest.raises(ValueError):

@@ -188,6 +188,11 @@ def _short_coordinate(report):
     return report
 
 
+def _dropped_coordinate(report):
+    report["witness_sets"][0]["points"][0]["coordinates"].pop()
+    return report
+
+
 def _short_lambda_row(report):
     report["parameters"]["lambda"][0].pop()
     return report
@@ -206,7 +211,8 @@ def _negative_level(report):
 
 
 @pytest.mark.parametrize("corrupt", [_as_list, _text_tolerance, _short_coordinate,
-                                     _short_lambda_row, _doctored_slice, _negative_level])
+                                     _dropped_coordinate, _short_lambda_row,
+                                     _doctored_slice, _negative_level])
 def test_verify_malformed_report_exit_2(worked_file, tmp_path, capsys, corrupt):
     report_path = tmp_path / "run.json"
     assert main(["cascade", worked_file, "--seed", "1",
@@ -293,9 +299,21 @@ def test_bad_config_exit_4(worked_file, linear_file, tmp_path, capsys):
     assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4
     cfgfile.write_text("not json")
     assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4
+    cfgfile.write_text('[{"seed": 1}]')
+    assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4
+    assert "config file must hold a JSON object" in capsys.readouterr().err
     for tracker in ("5", "[]"):
         cfgfile.write_text('{"tracker": %s}' % tracker)
         assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4
+    for name, value, message in [
+            ("max_newton_iters", 0, "max_newton_iters must be at least 1"),
+            ("step_expand", 1.0, "step_expand must exceed 1"),
+            ("divergence_threshold", 0.0, "divergence_threshold must be positive"),
+            ("t_endgame", 1.0, "t_endgame must lie in (0, 1)"),
+            ("endpoint_refine_iters", -1, "endpoint_refine_iters must be nonnegative")]:
+        cfgfile.write_text(json.dumps({"tracker": {name: value}}))
+        assert main(["solve", linear_file, "--config", str(cfgfile)]) == 4, name
+        assert message in capsys.readouterr().err
     # int fields take int, float fields int or float; bool is neither
     for setting in ('{"tracker": {"max_newton_iters": 2.5}}', '{"seed": 1.5}',
                     '{"threads": 2.5}', '{"residual_tol": true}', '{"seed": true}'):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polycascade.polynomials import (ParseError, Polynomial, PolynomialSystem,
-                                     UnknownVariableError, parse_system)
+from polycascade.polynomials import (DimensionMismatchError, ParseError, Polynomial,
+                                     PolynomialSystem, UnknownVariableError,
+                                     parse_system)
 
 from helpers import (fd_jacobian, naive_poly_eval, points_st, polynomials_st,
                      small_complex, system_text, systems_st)
@@ -34,6 +35,8 @@ def test_evaluate_hand_checked():
     # f(2, i) = (4i, 4*(i^2+2)) = (4i, 4)
     v = f.evaluate(np.array([2.0, 1j], dtype=np.complex128))
     assert np.allclose(v, [4j, 4.0])
+    with pytest.raises(DimensionMismatchError):
+        f.evaluate(np.ones(3))
 
 
 def test_jacobian_hand_checked():
@@ -75,6 +78,28 @@ def test_parse_errors_carry_location(text, line, col_check):
         parse_system(text)
     assert err.value.line == line
     assert col_check(err.value.col)
+
+
+@pytest.mark.parametrize("text,message,line,col", [
+    ("1\n*\nx1 @ 1;\n", "unexpected character '@'", 3, 4),
+    ("1\n*\nx1\t+\t1;\tx1\t@;\n", "unexpected character '@'", 3, 12),  # a tab is one column
+    ("1\n*\n(x1 x1);\n", "expected ')'", 3, 5),
+    ("1\n*\nx1 * );\n", "unexpected token ')'", 3, 6),
+    ("1\n", "file needs a variable count line and a names line", 2, 1),
+    ("0\n*\nx1;\n", "variable count must be positive", 1, 1),
+    ("2\nx y z\nx;\ny;\n", "expected 2 variable names, found 3", 2, 1),
+    ("2\nx 1y\nx;\nx;\n", "invalid variable name '1y'", 2, 3),
+    ("2\nx i\nx;\nx;\n", "'i' is reserved for the imaginary unit", 2, 3),
+    # the column is that of the name's first occurrence
+    ("2\nu\tu\nu;\nu;\n", "duplicate variable name 'u'", 2, 1),
+    ("1\n*\n;\n", "empty polynomial statement", 3, 1),
+    ("1\n*\n# nothing\n", "file contains no polynomials", 2, 1),
+])
+def test_every_parse_error_site(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert str(err.value) == f"line {line}, column {col}: {message}"
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_missing_terminator():
