@@ -13,6 +13,11 @@ cyclic-5 cascade at seed 1 (about 10 s per checkout), its input written by
 whether the census, the report, the witness file and the table-format stdout
 agree, and whether ``verify`` accepts this checkout's report.
 
+It then runs ``solve`` in both checkouts on a fixed set of inputs that must
+fail: one per parser error site, a non-square system, a zero equation and a
+config file that holds a JSON list.  For each it prints whether the exit
+code and stderr agree.
+
 The census is the per-level class counts, the witness multiplicities and
 filtered counts, the isolated and unresolved counts, the top dimension and
 the total path count.  Reports are compared after ``strip_timing_fields``,
@@ -36,6 +41,30 @@ from cyclic import cyclic  # noqa: E402  (this script's directory is on sys.path
 from polycascade.report import canonical_dumps, strip_timing_fields  # noqa: E402
 
 SEEDS = (1, 2, 3)
+# (label, system text, config file text or None) for solve runs that must fail
+BAD_INPUTS = [
+    ("unexpected character", "1\n*\nx1\t@ 1;\n", None),
+    ("coefficient not finite", "1\n*\n1e200*1e200*x1 - 1;\n", None),
+    ("end of polynomial", "1\n*\n(x1 +;\n", None),
+    ("unexpected token after", "1\n*\nx1 x1;\n", None),
+    ("exponent not an integer", "1\n*\nx1^2.5;\n", None),
+    ("unknown variable", "1\n*\nx2;\n", None),
+    ("expected ')'", "1\n*\n(x1 x1);\n", None),
+    ("unexpected token in atom", "1\n*\nx1 * );\n", None),
+    ("one header line", "1\n", None),
+    ("count not an integer", "one\n*\nx1;\n", None),
+    ("count below 1", "0\n*\nx1;\n", None),
+    ("wrong name count", "2\nx y z\nx;\ny;\n", None),
+    ("invalid name", "2\nx 1y\nx;\nx;\n", None),
+    ("i as a name", "2\nx i\nx;\nx;\n", None),
+    ("duplicate name", "2\nx\tx\nx;\nx;\n", None),
+    ("empty statement", "1\n*\n;\n", None),
+    ("missing ';'", "1\n*\nx1 - 1\n", None),
+    ("no polynomials", "1\n*\n# none\n", None),
+    ("non-square system", "2\n*\nx1*x2 - 1;\n", None),
+    ("zero equation", "2\n*\nx1 - x1;\nx2;\n", None),
+    ("config holding a list", "1\n*\nx1 - 1;\n", '[{"seed": 1}]'),
+]
 # the table's time column; its width follows the longest time, so the
 # padding in front of it is masked too
 TIME_CELL = re.compile(r" +(\d+\.\d\ds|time)$", re.MULTILINE)
@@ -53,11 +82,13 @@ def run_set(inputs: dict) -> list:
     return runs
 
 
-def cli(checkout: pathlib.Path, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+def cli(checkout: pathlib.Path, *args: str, check: bool = True,
+        stderr=None) -> subprocess.CompletedProcess:
     """``python -m polycascade.cli`` with a checkout's sources, stdout captured."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     return subprocess.run([sys.executable, "-m", "polycascade.cli", *args], cwd=checkout,
-                          env=env, check=check, stdout=subprocess.PIPE, text=True)
+                          env=env, check=check, stdout=subprocess.PIPE, stderr=stderr,
+                          text=True)
 
 
 def run_cli(checkout: pathlib.Path, command: str, source: str, seed: int,
@@ -92,6 +123,17 @@ def report_bytes(report: dict) -> str:
     return canonical_dumps(strip_timing_fields(report))
 
 
+def tally_row(tally: dict, checks: dict) -> list:
+    """Count each check in the tally; returns its "<name> same/differs" cells."""
+    cells = []
+    for name, equal in checks.items():
+        counts = tally.setdefault(name, [0, 0])
+        counts[0] += equal
+        counts[1] += 1
+        cells.append(f"{name} {'same' if equal else 'differs'}")
+    return cells
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -120,15 +162,24 @@ def main() -> int:
                       "stdout": old[2] == new[2]}
             if command == "cascade":
                 checks["witness file"] = old[1] == new[1]
-            for name, equal in checks.items():
-                counts = tally.setdefault(name, [0, 0])
-                counts[0] += equal
-                counts[1] += 1
-                cells.append(f"{name} {'same' if equal else 'differs'}")
+            cells += tally_row(tally, checks)
             code = cli(ROOT, "verify", str(tmp / "child" / "report.json"), check=False).returncode
             verify_fails += code != 0
             cells.append("verify ok" if code == 0 else f"verify FAILED (exit {code})")
-            print(f"{label:<32} " + "  ".join(cells), flush=True)
+            print(f"{label:<36} " + "  ".join(cells), flush=True)
+        source, config = tmp / "bad.sys", tmp / "bad.json"
+        for label, text, config_text in BAD_INPUTS:
+            source.write_text(text, encoding="utf-8")
+            argv = ["solve", str(source)]
+            if config_text is not None:
+                config.write_text(config_text, encoding="utf-8")
+                argv += ["--config", str(config)]
+            old, new = (cli(side, *argv, check=False, stderr=subprocess.PIPE)
+                        for side in (parent, ROOT))
+            cells = tally_row(tally, {"exit code": old.returncode == new.returncode,
+                                      "stderr": old.stderr == new.stderr})
+            print(f"{'bad input: ' + label:<36} exit {new.returncode}  " + "  ".join(cells),
+                  flush=True)
     print(f"{census_diffs} census difference(s); "
           + ", ".join(f"{s}/{n} {name}s same" for name, (s, n) in tally.items())
           + f"; {verify_fails} verify failure(s)")

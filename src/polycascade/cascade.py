@@ -199,8 +199,8 @@ def verify_witness(x: np.ndarray, system: EmbeddedSystem, cfg: CascadeConfig) ->
     residuals below the class tolerance.
     """
     residual = float(np.max(np.abs(system.base.evaluate(x))))
-    slice_residual = float(np.max(np.abs(system.params.slice_values(x, system.level)),
-                                  initial=0.0))
+    slices = system.params.slice_values(x, system.level) if system.level else ()
+    slice_residual = float(np.max(np.abs(slices), initial=0.0))
     refined, _, _, _ = refine_endpoint(system.evaluate, system.jacobian, x, cfg.tracker)
     drift = float(np.max(np.abs(refined - x)))
     passed = (residual <= cfg.residual_tol
@@ -210,10 +210,14 @@ def verify_witness(x: np.ndarray, system: EmbeddedSystem, cfg: CascadeConfig) ->
             "slice_residual": slice_residual, "drift": drift}
 
 
-def _validate_input(f: PolynomialSystem) -> None:
+def _require_square(f: PolynomialSystem) -> None:
     if not f.is_square():
         raise NonSquareSystemError(
             f"system has {f.n_polys} equations in {f.n_vars} variables")
+
+
+def _validate_input(f: PolynomialSystem) -> None:
+    _require_square(f)
     for k, d in enumerate(f.degrees()):
         if d < 0:
             raise ZeroPolynomialError(f"equation {k + 1} is identically zero")

@@ -16,8 +16,8 @@ import os
 import sys
 
 from . import __version__
-from .cascade import (CascadeConfig, NonSquareSystemError, run_cascade,
-                      solve_total_degree, verify_witness)
+from .cascade import (CascadeConfig, NonSquareSystemError, _require_square,
+                      run_cascade, solve_total_degree, verify_witness)
 from .embedding import embed
 from .polynomials import ParseError, parse_system
 from .report import (build_cascade_report, build_solve_report, canonical_dumps,
@@ -125,9 +125,7 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     if args.against is not None:
         system = parse_system(_read_source(args.against))
-    if not system.is_square():
-        raise NonSquareSystemError(
-            f"system has {system.n_polys} equations in {system.n_vars} variables")
+    _require_square(system)
     failures = 0
     checked = 0
     for level, points in witness_sets:

@@ -145,6 +145,8 @@ class CascadeHomotopy:
         if self.level > lower.dim:
             raise LevelOutOfRangeError(
                 f"cascade homotopy level {self.level} out of range for {lower.dim} variables")
+        if lower.params is None:
+            raise ValueError("a cascade homotopy needs the level system's parameter sample")
         self.dim = lower.dim
         self._lower = lower
         self._lambda = lower.params.eff_lambda[:, lower.level]

@@ -242,10 +242,11 @@ class PolynomialSystem:
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# one token after any whitespace; any other character is "bad"
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^();])")
+    r"|(?P<op>[-+*^();])|(?P<bad>\S))")
 
 
 class _Token(NamedTuple):
@@ -258,17 +259,12 @@ class _Token(NamedTuple):
 def _tokenize(lines: list[tuple[int, str]]) -> list[_Token]:
     tokens = []
     for line_no, text in lines:
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-            kind = m.lastgroup
-            tokens.append(_Token(kind, m.group(), line_no, pos + 1))
-            pos = m.end()
+        # trailing whitespace matches nothing and ends the line
+        for m in _TOKEN_RE.finditer(text):
+            kind, col = m.lastgroup, m.start(m.lastgroup) + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group(kind)!r}", line_no, col)
+            tokens.append(_Token(kind, m.group(kind), line_no, col))
     return tokens
 
 
@@ -283,6 +279,14 @@ class _Parser:
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _accept(self, ops: str) -> _Token | None:
+        """Consume and return the next token if it is one of the operators ops."""
+        tok = self._peek()
+        if tok is None or tok.kind != "op" or tok.text not in ops:
+            return None
+        self.pos += 1
+        return tok
 
     @staticmethod
     def _finite(poly: Polynomial, tok: _Token) -> Polynomial:
@@ -307,39 +311,28 @@ class _Parser:
 
     def expression(self) -> Polynomial:
         poly = self.factor()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op" or tok.text not in "+-":
-                return poly
-            self._next()
+        while tok := self._accept("+-"):
             rhs = self.factor()
             poly = self._finite(poly + rhs if tok.text == "+" else poly - rhs, tok)
+        return poly
 
     def factor(self) -> Polynomial:
         poly = self.signed()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op" or tok.text != "*":
-                return poly
-            self._next()
+        while tok := self._accept("*"):
             poly = self._finite(poly * self.signed(), tok)
+        return poly
 
     def signed(self) -> Polynomial:
         sign = 1
-        tok = self._peek()
-        while tok is not None and tok.kind == "op" and tok.text in "+-":
+        while tok := self._accept("+-"):
             if tok.text == "-":
                 sign = -sign
-            self._next()
-            tok = self._peek()
         poly = self.power()
         return poly if sign > 0 else -poly
 
     def power(self) -> Polynomial:
         base = self.atom()
-        tok = self._peek()
-        if tok is not None and tok.kind == "op" and tok.text == "^":
-            self._next()
+        if tok := self._accept("^"):
             etok = self._next()
             if etok.kind != "num" or not etok.text.isdigit():
                 raise ParseError("exponent must be a nonnegative integer",

@@ -61,10 +61,10 @@ def _point2j(p) -> dict:
     }
 
 
-def _slices2j(params: ParameterSample, level: int) -> list:
-    """The effective (eta-absorbed) hyperplanes that slice dimension level."""
+def _hyperplanes2j(constants, coefficients) -> list:
+    """Hyperplanes constants[j] + coefficients[j] . x as JSON objects."""
     return [{"constant": _c2j(c), "coefficients": _vec2j(a)}
-            for c, a in zip(params.eff_constants[:level], params.eff_coefficients[:level])]
+            for c, a in zip(constants, coefficients)]
 
 
 def source_digest(source: str) -> str:
@@ -97,15 +97,17 @@ def build_cascade_report(output: CascadeOutput, source: str,
     report["parameters"] = {
         "seed": int(params.seed),
         "eta": _c2j(params.eta),
-        "hyperplanes": [{"constant": _c2j(c), "coefficients": _vec2j(a)}
-                        for c, a in zip(params.constants, params.coefficients)],
+        "hyperplanes": _hyperplanes2j(params.constants, params.coefficients),
         "lambda": [_vec2j(row) for row in params.lambda_matrix],
     }
+    # from the top level down, as the cascade emits them; every reader keeps the order
     report["witness_sets"] = [{
         "level": int(ws.level),
         "label": "witness set" if ws.level == params.n - 1 else SUPERSET_LABEL,
         "points": [_point2j(p) for p in ws.points],
-        "slices": _slices2j(params, ws.level),
+        # the effective (eta-absorbed) hyperplanes that slice this dimension
+        "slices": _hyperplanes2j(params.eff_constants[:ws.level],
+                                 params.eff_coefficients[:ws.level]),
         "filtered_out": int(ws.filtered_out),
     } for ws in output.supersets]
     report["top_dimension"] = (None if output.top_dimension is None
@@ -136,7 +138,7 @@ def decode_report(report: dict):
     """
     cfg = CascadeConfig.from_dict(report["config"])
     sets = [(ws["level"], [j2vec(p["coordinates"]) for p in ws["points"]])
-            for ws in sorted(report.get("witness_sets", []), key=lambda w: -w["level"])]
+            for ws in report.get("witness_sets", [])]
     if not any(points for _, points in sets):
         return cfg, None, sets
     p = report["parameters"]
@@ -149,7 +151,8 @@ def decode_report(report: dict):
         raise ValueError("witness points and parameters differ in length")
     for ws in report["witness_sets"]:
         level = ws["level"]
-        if not (1 <= level <= params.n and ws["slices"] == _slices2j(params, level)):
+        if not 1 <= level <= params.n or ws["slices"] != _hyperplanes2j(
+                params.eff_constants[:level], params.eff_coefficients[:level]):
             raise ValueError(f"dim {level} witness set disagrees with the parameters")
     return cfg, params, sets
 
@@ -221,7 +224,7 @@ def render_cascade_summary(report: dict, results=None) -> str:
                          f"  residual {r.residual:.2e}  condition {r.condition:.2e}")
         lines.append("")
     lines += [render_cascade_table(report), ""]
-    for ws in sorted(report.get("witness_sets", []), key=lambda w: -w["level"]):
+    for ws in report.get("witness_sets", []):
         if not (ws["points"] or ws["filtered_out"]):
             continue
         lines.append(f"dimension {ws['level']}: {len(ws['points'])} witness point(s)"
@@ -262,7 +265,7 @@ def write_witness_file(path: str, report: dict) -> None:
         f"# seed {report['seed']}",
     ]
     any_points = False
-    for ws in sorted(report.get("witness_sets", []), key=lambda w: -w["level"]):
+    for ws in report.get("witness_sets", []):
         if not ws["points"]:
             continue
         any_points = True

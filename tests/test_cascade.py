@@ -184,6 +184,14 @@ def test_verify_witness_accepts_true_point_rejects_perturbed():
     assert not bad["pass"]
 
 
+def test_verify_witness_at_level_zero_reads_no_parameters():
+    f = parse_system(LINEAR)
+    cfg = CascadeConfig(seed=4)
+    x = solve_total_degree(f, cfg).isolated_solutions[0].x
+    check = verify_witness(x, embed(f, None, 0), cfg)
+    assert check["pass"] and check["slice_residual"] == 0.0
+
+
 def test_each_level_system_is_compiled_once(monkeypatch):
     # F_{n-1}..F_1 are compiled once per run, F_0 is f's own tables, and the
     # verifier works on the compiled system it is given

@@ -212,3 +212,9 @@ def test_parameter_sample_deterministic_and_unimodular(seed, n):
     assert np.max(np.abs(np.abs(a.lambda_matrix) - 1.0)) < 1e-15
     # effective values are the raw draws scaled once by eta
     assert np.max(np.abs(a.eff_lambda - a.eta * a.lambda_matrix)) == 0.0
+
+
+def test_cascade_homotopy_needs_a_parameter_sample():
+    # a solve's level system has no slice to lift it by
+    with pytest.raises(ValueError, match="parameter sample"):
+        CascadeHomotopy(embed(parse_system(WORKED), None, 0))
