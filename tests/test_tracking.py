@@ -325,3 +325,41 @@ def test_landing_short_of_tolerance_fails_with_its_residual():
     assert 20.0 * cfg.newton_tol < result.residual < 1e-2
     assert result.residual == homotopy.target_residual(result.endpoint)
     assert result.condition < 10.0
+
+
+class _RootOfS:
+    """Homotopy sqrt(s)*x - c, whose path x(s) = c/sqrt(s) escapes as s -> 0."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, point, s):
+        return np.sqrt(s) * point - self.c
+
+    def jacobian(self, point, s):
+        return np.array([[np.sqrt(s) + 0j]])
+
+    def s_derivative(self, point, s):
+        return point / (2.0 * np.sqrt(s))
+
+    def target_residual(self, point):
+        return float(np.max(np.abs(self.value(point, 0.0))))
+
+
+@pytest.mark.parametrize("t_endgame,status", [
+    # |x| = 2e4 at s = 1e-8, far below divergence_threshold: the growth slope
+    # over the window s <= 1e-3 (-1/2) alone reads as escape
+    (1e-8, PathStatus.DIVERGED),
+    # the endgame starts above the window, so there is no slope to fit and
+    # the landing at s = 0, where the Jacobian vanishes, fails
+    (1e-2, PathStatus.FAILED),
+])
+def test_growth_slope_verdict(t_endgame, status):
+    homotopy = _RootOfS(2.0)
+    cfg = TrackerConfig(t_endgame=t_endgame)
+    result = track_path(homotopy, np.array([2.0 + 0j]), cfg)
+    assert result.status == status
+    assert result.t_reached == t_endgame
+    norm = abs(result.endpoint[0])
+    assert tracking._GROWTH_NORM_FLOOR < norm < cfg.divergence_threshold
+    assert norm == pytest.approx(2.0 / np.sqrt(t_endgame), rel=1e-6)
