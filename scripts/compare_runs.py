@@ -14,9 +14,12 @@ whether the census, the report, the witness file and the table-format stdout
 agree, and whether ``verify`` accepts this checkout's report.
 
 It then runs ``solve`` in both checkouts on a fixed set of inputs that must
-fail: one per parser error site, a non-square system, a zero equation and a
-config file that holds a JSON list.  For each it prints whether the exit
-code and stderr agree.
+fail: one per parser error site, a name whose text also occurs earlier on
+the names line, a non-square system, a zero equation and a config file that
+holds a JSON list.  Last, it runs ``verify`` in both checkouts on doctored
+copies of this checkout's worked_example seed-1 cascade report, one per
+check of ``decode_report``.  For each failing run it prints whether the
+exit code and stderr agree.
 
 The census is the per-level class counts, the witness multiplicities and
 filtered counts, the isolated and unresolved counts, the top dimension and
@@ -58,12 +61,35 @@ BAD_INPUTS = [
     ("invalid name", "2\nx 1y\nx;\nx;\n", None),
     ("i as a name", "2\nx i\nx;\nx;\n", None),
     ("duplicate name", "2\nx\tx\nx;\nx;\n", None),
+    ("name inside another", "2\nx1y 1y\nx1y;\nx1y;\n", None),
+    ("later duplicate name", "3\nab b b\nab;\nb;\nb;\n", None),
     ("empty statement", "1\n*\n;\n", None),
     ("missing ';'", "1\n*\nx1 - 1\n", None),
     ("no polynomials", "1\n*\n# none\n", None),
     ("non-square system", "2\n*\nx1*x2 - 1;\n", None),
     ("zero equation", "2\n*\nx1 - x1;\nx2;\n", None),
     ("config holding a list", "1\n*\nx1 - 1;\n", '[{"seed": 1}]'),
+]
+
+
+def _empty_at_level_99(report: dict) -> None:
+    for ws in report["witness_sets"]:
+        ws.update(level=99, points=[], slices=[])
+
+
+def _doctored_slice(report: dict) -> None:
+    report["witness_sets"][0]["slices"][0]["constant"] = [5.0, 5.0]
+
+
+def _dropped_coordinate(report: dict) -> None:
+    report["witness_sets"][0]["points"][0]["coordinates"].pop()
+
+
+# (label, edit in place) for the doctored reports that verify must reject
+BAD_REPORTS = [
+    ("empty sets at level 99", _empty_at_level_99),
+    ("doctored slice", _doctored_slice),
+    ("dropped coordinate", _dropped_coordinate),
 ]
 # the table's time column; its width follows the longest time, so the
 # padding in front of it is masked too
@@ -134,6 +160,16 @@ def tally_row(tally: dict, checks: dict) -> list:
     return cells
 
 
+def compare_failure(tally: dict, parent: pathlib.Path, label: str, *argv: str) -> None:
+    """Run a command that must fail in both checkouts; print whether the exit
+    code and stderr agree."""
+    old, new = (cli(side, *argv, check=False, stderr=subprocess.PIPE)
+                for side in (parent, ROOT))
+    cells = tally_row(tally, {"exit code": old.returncode == new.returncode,
+                              "stderr": old.stderr == new.stderr})
+    print(f"{label:<36} exit {new.returncode}  " + "  ".join(cells), flush=True)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -174,12 +210,15 @@ def main() -> int:
             if config_text is not None:
                 config.write_text(config_text, encoding="utf-8")
                 argv += ["--config", str(config)]
-            old, new = (cli(side, *argv, check=False, stderr=subprocess.PIPE)
-                        for side in (parent, ROOT))
-            cells = tally_row(tally, {"exit code": old.returncode == new.returncode,
-                                      "stderr": old.stderr == new.stderr})
-            print(f"{'bad input: ' + label:<36} exit {new.returncode}  " + "  ".join(cells),
-                  flush=True)
+            compare_failure(tally, parent, "bad input: " + label, *argv)
+        clean, doctored = tmp / "clean.json", tmp / "doctored.json"
+        cli(ROOT, "cascade", inputs["worked_example"], "--seed", "1", "--report", str(clean),
+            "--witness", str(tmp / "clean.witness"))
+        for label, doctor in BAD_REPORTS:
+            report = json.loads(clean.read_text(encoding="utf-8"))
+            doctor(report)
+            doctored.write_text(json.dumps(report), encoding="utf-8")
+            compare_failure(tally, parent, "bad report: " + label, "verify", str(doctored))
     print(f"{census_diffs} census difference(s); "
           + ", ".join(f"{s}/{n} {name}s same" for name, (s, n) in tally.items())
           + f"; {verify_fails} verify failure(s)")

@@ -129,7 +129,8 @@ def cmd_verify(args) -> int:
     failures = 0
     checked = 0
     for level, points in witness_sets:
-        # decode_report gives every point the parameters' length
+        # decode_report has checked every set against the parameters; an
+        # empty set needs no level system
         matched = points and params.n == system.n_vars
         embedded = embed(system, params, level) if matched else None
         for idx, w in enumerate(points):

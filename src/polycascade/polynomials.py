@@ -388,22 +388,20 @@ def parse_system(text: str) -> PolynomialSystem:
     if names_line.strip() == "*":
         var_names = [f"x{k + 1}" for k in range(n_vars)]
     else:
-        var_names = names_line.split()
-        if len(var_names) != n_vars:
-            raise ParseError(f"expected {n_vars} variable names, found {len(var_names)}",
+        names = list(re.finditer(r"\S+", names_line))
+        if len(names) != n_vars:
+            raise ParseError(f"expected {n_vars} variable names, found {len(names)}",
                              names_no, 1)
-        seen = set()
-        for name in var_names:
+        var_names = []
+        for match in names:
+            name, col = match.group(), match.start() + 1
             if not _NAME_RE.fullmatch(name):
-                raise ParseError(f"invalid variable name {name!r}", names_no,
-                                 names_line.find(name) + 1)
+                raise ParseError(f"invalid variable name {name!r}", names_no, col)
             if name == "i":
-                raise ParseError("'i' is reserved for the imaginary unit", names_no,
-                                 names_line.find(name) + 1)
-            if name in seen:
-                raise ParseError(f"duplicate variable name {name!r}", names_no,
-                                 names_line.find(name) + 1)
-            seen.add(name)
+                raise ParseError("'i' is reserved for the imaginary unit", names_no, col)
+            if name in var_names:
+                raise ParseError(f"duplicate variable name {name!r}", names_no, col)
+            var_names.append(name)
 
     tokens = _tokenize(content[2:])
     var_index = {name: k for k, name in enumerate(var_names)}

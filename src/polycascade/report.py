@@ -132,14 +132,16 @@ def load_report(path: str) -> dict:
 def decode_report(report: dict):
     """(config, parameters, [(level, points)]) decoded from a report.
 
-    The parameters are None when no witness point is stored: solve reports
-    carry none.  The witness file is written from each set's slices, so they
-    must be the ones the parameters give (JSON floats round-trip).
+    The parameters are None only for a report with neither parameters nor
+    witness sets, as a solve report is.  Every witness set is checked against
+    them, whether or not it holds points: its points must have their length,
+    its level must lie in 1..n and its slices must be the ones they give
+    (JSON floats round-trip), since the witness file is written from them.
     """
     cfg = CascadeConfig.from_dict(report["config"])
-    sets = [(ws["level"], [j2vec(p["coordinates"]) for p in ws["points"]])
-            for ws in report.get("witness_sets", [])]
-    if not any(points for _, points in sets):
+    stored = report.get("witness_sets", [])
+    sets = [(ws["level"], [j2vec(p["coordinates"]) for p in ws["points"]]) for ws in stored]
+    if not sets and "parameters" not in report:
         return cfg, None, sets
     p = report["parameters"]
     params = ParameterSample(
@@ -149,7 +151,7 @@ def decode_report(report: dict):
         lambda_matrix=np.vstack([j2vec(row) for row in p["lambda"]]))
     if any(w.shape != (params.n,) for _, points in sets for w in points):
         raise ValueError("witness points and parameters differ in length")
-    for ws in report["witness_sets"]:
+    for ws in stored:
         level = ws["level"]
         if not 1 <= level <= params.n or ws["slices"] != _hyperplanes2j(
                 params.eff_constants[:level], params.eff_coefficients[:level]):
@@ -165,10 +167,6 @@ def strip_timing_fields(report: dict) -> dict:
     return clone
 
 
-def _fmt_cell(value, width: int) -> str:
-    return f"{value:>{width}}"
-
-
 def render_cascade_table(report: dict) -> str:
     """Per-level path accounting in the four-bucket layout.
 
@@ -178,21 +176,14 @@ def render_cascade_table(report: dict) -> str:
     singular/unresolved leftovers.
     """
     headers = ["system", "#paths", "z = 0", "z != 0", "-> inf", "failed", "time"]
-    rows = []
-    total_paths = 0
-    total_ms = 0.0
-    for s in report["levels"]:
-        rows.append([f"E_{s['level']}", s["n_paths"], s["on_component"],
-                     s["regular"], s["diverged"], s["unresolved"],
-                     f"{s['wall_ms'] / 1000.0:.2f}s"])
-        total_paths += s["n_paths"]
-        total_ms += s["wall_ms"]
-    rows.append(["total", total_paths, "", "", "", "", f"{total_ms / 1000.0:.2f}s"])
+    rows = [[f"E_{s['level']}", s["n_paths"], s["on_component"], s["regular"],
+             s["diverged"], s["unresolved"], f"{s['wall_ms'] / 1000.0:.2f}s"]
+            for s in report["levels"]]
+    total_ms = sum(s["wall_ms"] for s in report["levels"])
+    rows.append(["total", report["total_paths"], "", "", "", "", f"{total_ms / 1000.0:.2f}s"])
     widths = [max(len(str(r[k])) for r in rows + [headers]) for k in range(len(headers))]
-    lines = ["  ".join(_fmt_cell(h, w) for h, w in zip(headers, widths))]
-    for r in rows:
-        lines.append("  ".join(_fmt_cell(v, w) for v, w in zip(r, widths)))
-    return "\n".join(lines)
+    return "\n".join("  ".join(f"{v:>{w}}" for v, w in zip(r, widths))
+                     for r in [headers] + rows)
 
 
 def _fmt_complex(z, prec: int = 12) -> str:
@@ -200,14 +191,16 @@ def _fmt_complex(z, prec: int = 12) -> str:
     return f"{re:+.{prec}e} {im:+.{prec}e}"
 
 
-def _render_points(points: list, indent: str = "  ") -> list:
-    lines = []
-    for p in points:
-        coords = "  ".join(_fmt_complex(_j2c(c)) for c in p["coordinates"])
-        lines.append(f"{indent}{coords}  mult {p['multiplicity']}"
-                     f"  residual {_null_as_inf(p['residual']):.2e}"
-                     f"  condition {_null_as_inf(p['condition']):.2e}")
-    return lines
+def _point_line(p: dict, prec: int, sep: str, num: str) -> str:
+    """A stored point: its coordinates, multiplicity, residual and condition."""
+    coords = sep.join(_fmt_complex(_j2c(c), prec) for c in p["coordinates"])
+    return sep.join([coords, f"mult {p['multiplicity']}",
+                     f"residual {_null_as_inf(p['residual']):{num}}",
+                     f"condition {_null_as_inf(p['condition']):{num}}"])
+
+
+def _render_points(points: list) -> list:
+    return ["  " + _point_line(p, 12, "  ", ".2e") for p in points]
 
 
 def render_cascade_summary(report: dict, results=None) -> str:
@@ -264,21 +257,14 @@ def write_witness_file(path: str, report: dict) -> None:
         f"# input {report['input']['digest']}",
         f"# seed {report['seed']}",
     ]
-    any_points = False
-    for ws in report.get("witness_sets", []):
-        if not ws["points"]:
-            continue
-        any_points = True
+    stored = [ws for ws in report.get("witness_sets", []) if ws["points"]]
+    for ws in stored:
         lines.append(f"dim {ws['level']}")
         for j, sl in enumerate(ws["slices"], start=1):
             coeffs = " ".join(_fmt_complex(_j2c(c), 17) for c in sl["coefficients"])
             lines.append(f"slice {j}: {_fmt_complex(_j2c(sl['constant']), 17)} {coeffs}")
-        for p in ws["points"]:
-            coords = " ".join(_fmt_complex(_j2c(c), 17) for c in p["coordinates"])
-            lines.append(f"{coords} mult {p['multiplicity']} "
-                         f"residual {_null_as_inf(p['residual']):.16e} "
-                         f"condition {_null_as_inf(p['condition']):.16e}")
-    if not any_points:
+        lines.extend(_point_line(p, 17, " ", ".16e") for p in ws["points"])
+    if not stored:
         lines.append("# no witness points")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

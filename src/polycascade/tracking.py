@@ -5,12 +5,14 @@ s_derivative(point, s) and target_residual(point) for the s=0 system.  The
 tracker reads nothing else: what the coordinates of an endpoint mean is the
 caller's business.  It runs Euler prediction with Newton correction and an
 adaptive step capped relative to the remaining distance, so the approach to
-s=0 is geometric and the late path history spans several decades of s.  At
-the endgame boundary a path is either flagged as escaping to infinity (its
-norm grows like a negative power of s) or polished by Newton iteration at
-s=0 directly, with multiplicity-accelerated steps when the correction ratios
-stall at the linear rate (mu-1)/mu typical of a multiple solution.  A path
-whose step underflows ends the same way, from the point it stalled at.
+s=0 is geometric and the accepted points in the endgame window s <= 1e-3,
+the only ones the tracker records, span several decades of s.  At the
+endgame boundary a path is either flagged as escaping to infinity (its norm
+over the window grows like a negative power of s) or polished by Newton
+iteration at s=0 directly, with multiplicity-accelerated steps when the
+correction ratios stall at the linear rate (mu-1)/mu typical of a multiple
+solution.  A path whose step underflows ends the same way, from the point it
+stalled at.
 """
 
 from __future__ import annotations
@@ -220,25 +222,23 @@ def refine_endpoint(value_of, jacobian_of, point: np.ndarray, config: TrackerCon
     return best_x, best_res, condition, iters
 
 
-def _fit_growth_slope(history: list) -> float | None:
-    """Slope of log10 norm against log10 s over the late accepted points."""
-    pts = [(s, n) for s, n in history if s <= _GROWTH_WINDOW and n > 0.0]
-    if len(pts) < 4:
-        return None
-    logs = np.log10([s for s, _ in pts])
-    if logs.max() - logs.min() < 2.0:
-        return None
-    lognorms = np.log10([n for _, n in pts])
-    return float(np.polyfit(logs, lognorms, 1)[0])
+def _looks_divergent(window: list, norm_end: float, config: TrackerConfig) -> bool:
+    """Past the threshold, or above the floor and growing as s shrinks.
 
-
-def _looks_divergent(history: list, norm_end: float, config: TrackerConfig) -> bool:
+    The growth is the log-log slope of |x| against s fitted over the window.
+    """
     if norm_end > config.divergence_threshold:
         return True
     if norm_end < _GROWTH_NORM_FLOOR:
         return False
-    slope = _fit_growth_slope(history)
-    return slope is not None and slope <= _GROWTH_SLOPE
+    pts = [(s, n) for s, n in window if n > 0.0]
+    if len(pts) < 4:
+        return False
+    logs = np.log10([s for s, _ in pts])
+    if logs.max() - logs.min() < 2.0:
+        return False
+    lognorms = np.log10([n for _, n in pts])
+    return float(np.polyfit(logs, lognorms, 1)[0]) <= _GROWTH_SLOPE
 
 
 def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
@@ -249,7 +249,7 @@ def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
     step = config.step_initial
     steps_taken = 0
     newton_total = 0
-    history: list = [(s, float(np.max(np.abs(x))))]
+    window: list = []  # (s, |x|) of the accepted points with s <= _GROWTH_WINDOW
 
     def finish(status, at_x, at_s, residual=math.inf, condition=math.inf):
         return PathResult(endpoint=at_x, status=status, residual=residual,
@@ -264,23 +264,6 @@ def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
             residual = math.inf
         return finish(PathStatus.FAILED, at_x, at_s,
                       residual if math.isfinite(residual) else math.inf)
-
-    def attempt_landing(at_x, at_s):
-        # polish against the s=0 system; endpoints of singular paths stall
-        # short of the boundary but still sit inside the refiner's basin
-        nonlocal newton_total
-        x_ref, residual, condition, iters = refine_endpoint(
-            lambda p: homotopy.value(p, 0.0), lambda p: homotopy.jacobian(p, 0.0),
-            at_x, config)
-        newton_total += iters
-        drift = float(np.max(np.abs(x_ref - at_x)))
-        if drift > 0.25 * (1.0 + float(np.max(np.abs(at_x)))):
-            # refinement jumped basins; keep the tracked point, unresolved
-            return failed(at_x, at_s)
-        scale = max(1.0, float(np.max(np.abs(x_ref))))
-        if residual <= 10.0 * config.newton_tol * scale:
-            return finish(PathStatus.CONVERGED, x_ref, 0.0, residual, condition)
-        return finish(PathStatus.FAILED, x_ref, at_s, residual, condition)
 
     attempts = 0
     while s > config.t_endgame:
@@ -308,7 +291,8 @@ def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
             if converged:
                 x, s = x_new, s_new
                 steps_taken += 1
-                history.append((s, float(np.max(np.abs(x)))))
+                if s <= _GROWTH_WINDOW:
+                    window.append((s, float(np.max(np.abs(x)))))
                 if iters <= max(1, config.max_newton_iters // 2):
                     step = min(step * config.step_expand, config.step_max)
                 continue
@@ -319,9 +303,20 @@ def track_path(homotopy, start_point: np.ndarray, config: TrackerConfig,
 
     # endgame or stalled step: identify escapes before trying to land on
     # the target system
-    if _looks_divergent(history, float(np.max(np.abs(x))), config):
+    if _looks_divergent(window, float(np.max(np.abs(x))), config):
         return finish(PathStatus.DIVERGED, x, s)
-    return attempt_landing(x, s)
+    # polish against the s=0 system; endpoints of singular paths stall
+    # short of the boundary but still sit inside the refiner's basin
+    x_ref, residual, condition, iters = refine_endpoint(
+        lambda p: homotopy.value(p, 0.0), lambda p: homotopy.jacobian(p, 0.0), x, config)
+    newton_total += iters
+    if float(np.max(np.abs(x_ref - x))) > 0.25 * (1.0 + float(np.max(np.abs(x)))):
+        # refinement jumped basins; keep the tracked point, unresolved
+        return failed(x, s)
+    scale = max(1.0, float(np.max(np.abs(x_ref))))
+    if residual <= 10.0 * config.newton_tol * scale:
+        return finish(PathStatus.CONVERGED, x_ref, 0.0, residual, condition)
+    return finish(PathStatus.FAILED, x_ref, s, residual, condition)
 
 
 def track_batch(homotopy, starts, config: TrackerConfig, threads: int = 1) -> list:

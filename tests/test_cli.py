@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from polycascade.cli import main
-from polycascade.report import load_report
+from polycascade.report import load_report, write_report
 
 WORKED = "2\n*\nx1^2*x2;\nx1^2*(x2^2 + x1);\n"
 LINEAR = "2\n*\n2*x1 + 3*x2 - 1;\nx1 - x2 + 1;\n"
@@ -172,6 +172,15 @@ def test_verify_report_without_witnesses(linear_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0/0" in out or "no witness points" in out
+    # an empty set is still checked against the parameters
+    report = load_report(report_path)
+    assert report["witness_sets"]
+    for ws in report["witness_sets"]:
+        assert not ws["points"]
+        ws["level"], ws["slices"] = 99, []
+    write_report(report_path, report)
+    assert main(["verify", report_path]) == 2
+    assert "malformed report" in capsys.readouterr().err
 
 
 def _as_list(report):

@@ -90,8 +90,10 @@ def test_parse_errors_carry_location(text, line, col_check):
     ("2\nx y z\nx;\ny;\n", "expected 2 variable names, found 3", 2, 1),
     ("2\nx 1y\nx;\nx;\n", "invalid variable name '1y'", 2, 3),
     ("2\nx i\nx;\nx;\n", "'i' is reserved for the imaginary unit", 2, 3),
-    # the column is that of the name's first occurrence
-    ("2\nu\tu\nu;\nu;\n", "duplicate variable name 'u'", 2, 1),
+    # each name is located by its own column, not by its first substring match
+    ("2\nu\tu\nu;\nu;\n", "duplicate variable name 'u'", 2, 3),
+    ("2\nx1y 1y\nx1y;\nx1y;\n", "invalid variable name '1y'", 2, 5),
+    ("3\nab b b\nab;\nb;\nb;\n", "duplicate variable name 'b'", 2, 6),
     ("1\n*\n;\n", "empty polynomial statement", 3, 1),
     ("1\n*\n# nothing\n", "file contains no polynomials", 2, 1),
 ])
